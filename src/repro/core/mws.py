@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from operator import is_
 
 import numpy as np
 
@@ -85,8 +86,9 @@ def _batch_info(plan: Plan) -> tuple | None:
     (``None`` marking a latch XOR), and ``commands`` the plan's sense
     commands in step order -- or ``None`` when the plan has no batched
     equivalent (a rogue cross-plane XOR, left to the scalar protocol).
-    Plans are immutable value objects the engine's bound-plan cache
-    reuses across windows, so the derivation runs once per plan.
+    The derivation runs once per plan; codes, capture steps and
+    charges depend only on the plan's template, so plans bound from
+    one template share them.
 
     Thread safety: the memo is a pure derivation of the frozen plan,
     stored with a single atomic ``object.__setattr__`` -- two worker
@@ -97,13 +99,17 @@ def _batch_info(plan: Plan) -> tuple | None:
     cached = plan.__dict__.get("_batch_info", False)
     if cached is not False:
         return cached
+    template = plan.__dict__.get("_template")
+    shape = None if template is None else template.__dict__.get("_shape")
     codes: list[int] = []
     capture_steps: list = []
     charges: list[tuple[int, int] | None] = []
     commands: list = []
-    info: tuple | None
     for step in plan.steps:
         if isinstance(step, SenseStep):
+            commands.append(step.command)
+            if shape is not None:
+                continue
             iscm = step.command.iscm
             codes.append(
                 (iscm.inverse << 3)
@@ -113,7 +119,6 @@ def _batch_info(plan: Plan) -> tuple | None:
             )
             capture_steps.append(iscm)
             charges.append((step.n_wordlines, step.n_blocks))
-            commands.append(step.command)
         elif isinstance(step, XorStep):
             if step.plane != plan.plane:
                 object.__setattr__(plan, "_batch_info", None)
@@ -123,12 +128,11 @@ def _batch_info(plan: Plan) -> tuple | None:
             charges.append(None)
         else:  # pragma: no cover - plans only hold the two kinds
             raise TypeError(f"unknown plan step {step!r}")
-    info = (
-        (plan.plane, tuple(codes)),
-        tuple(capture_steps),
-        tuple(charges),
-        tuple(commands),
-    )
+    if shape is None:
+        shape = (tuple(codes), tuple(capture_steps), tuple(charges))
+        if template is not None:
+            object.__setattr__(template, "_shape", shape)
+    info = ((plan.plane, shape[0]), shape[1], shape[2], tuple(commands))
     object.__setattr__(plan, "_batch_info", info)
     return info
 
@@ -151,10 +155,12 @@ class MwsExecutor:
         #: dispatch counter -- only ever sees one thread at a time
         #: even when several services execute over one SSD.
         self.lock = threading.Lock()
-        #: Window-identity layout memo: tuple of info ids -> (pinned
-        #: infos, (commands, sense_base, lane_groups)).  Bounded like
-        #: the chip memo caches.
-        self._layout_cache: dict[tuple, tuple] = {}
+        #: Window-identity layout memo: (infos, (commands, sense_base,
+        #: lane_groups)) of the last window.  One window deep, like
+        #: ``_window_memo``: repeats of the last window are the steady
+        #: state, and pinning older windows would keep their plans'
+        #: metadata alive after the plans themselves are gone.
+        self._layout_memo: tuple | None = None
         #: Steady-state window replay memo (see execute_batch_reuse):
         #: (plans, per-plan rows, per-plan C-latch rows, latch op
         #: marks).  One window deep -- repeats of the *last* window
@@ -162,33 +168,7 @@ class MwsExecutor:
         self._window_memo: tuple | None = None
 
     def execute(self, plan: Plan) -> ExecutionResult:
-        self.dispatches += 1
-        busy_before = self.chip.counters.busy_us
-        energy_before = self.chip.counters.energy_nj
-        senses_before = self.chip.counters.senses
-        for step in plan.steps:
-            if isinstance(step, SenseStep):
-                self.chip.execute_sense(
-                    list(step.command.targets), step.command.iscm
-                )
-            elif isinstance(step, XorStep):
-                self.chip.xor_command(step.plane)
-            else:  # pragma: no cover - plans only hold the two kinds
-                raise TypeError(f"unknown plan step {step!r}")
-        n_bits = self.chip.geometry.page_size_bits
-        common = dict(
-            n_senses=self.chip.counters.senses - senses_before,
-            latency_us=self.chip.counters.busy_us - busy_before,
-            energy_nj=self.chip.counters.energy_nj - energy_before,
-            n_bits=n_bits,
-        )
-        if self.chip.packed:
-            return ExecutionResult(
-                _words=self.chip.output_cache_words(plan.plane), **common
-            )
-        return ExecutionResult(
-            _bits=self.chip.output_cache(plan.plane), **common
-        )
+        return self._execute_scalar(plan)
 
     def execute_many(self, plans: list[Plan]) -> list[ExecutionResult]:
         """Drain a queue of plans on this chip in order, one sense at
@@ -210,6 +190,13 @@ class MwsExecutor:
         (each charged at the step's own MWS shape), so degraded
         latency/energy honestly exceed the healthy path.
         """
+        return self._execute_scalar(
+            plan, force_vth=True, extra_senses=extra_senses
+        )
+
+    def _execute_scalar(
+        self, plan: Plan, *, force_vth: bool = False, extra_senses: int = 0
+    ) -> ExecutionResult:
         self.dispatches += 1
         chip = self.chip
         busy_before = chip.counters.busy_us
@@ -220,7 +207,7 @@ class MwsExecutor:
                 chip.execute_sense(
                     list(step.command.targets),
                     step.command.iscm,
-                    force_vth=True,
+                    force_vth=force_vth,
                 )
                 for _ in range(extra_senses):
                     chip.charge_sense(step.n_wordlines, step.n_blocks)
@@ -228,12 +215,11 @@ class MwsExecutor:
                 chip.xor_command(step.plane)
             else:  # pragma: no cover - plans only hold the two kinds
                 raise TypeError(f"unknown plan step {step!r}")
-        n_bits = chip.geometry.page_size_bits
         common = dict(
             n_senses=chip.counters.senses - senses_before,
             latency_us=chip.counters.busy_us - busy_before,
             energy_nj=chip.counters.energy_nj - energy_before,
-            n_bits=n_bits,
+            n_bits=chip.geometry.page_size_bits,
         )
         if chip.packed:
             return ExecutionResult(
@@ -299,15 +285,16 @@ class MwsExecutor:
     def execute_batch_reuse(
         self,
         plans: list[Plan],
-        cached,
+        lookup,
         store,
     ) -> tuple[list[ExecutionResult], int] | None:
         """:meth:`execute_batch` with cross-window sense-row reuse.
 
-        ``cached`` maps a :class:`~repro.core.planner.Plan` to its
+        ``lookup(plan)`` returns a :class:`~repro.core.planner.Plan`'s
         memoized ``(sense rows, (block, n_wordlines) read pairs)``
-        from an earlier window; ``store(plan, rows, reads)`` is called
-        for every plan sensed fresh so the caller can extend the memo.
+        from an earlier window, or ``None``; ``store(plan, rows,
+        reads)`` is called for every plan sensed fresh so the caller
+        can extend the memo.
         The caller (:class:`repro.ssd.query_engine.StackCache`) owns
         staleness: it hands in entries only while its layout/content
         stamp is unchanged, which is exactly when the packed plane
@@ -346,7 +333,7 @@ class MwsExecutor:
         miss_slices: list[tuple[int, int, int]] = []
         miss_commands: list = []
         for index, info in enumerate(infos):
-            entry = cached.get(plans[index])
+            entry = lookup(plans[index])
             if entry is not None:
                 plan_rows[index] = entry[0]
                 hit_reads.append(entry[1])
@@ -519,18 +506,19 @@ class MwsExecutor:
         """Flatten sense commands plan-major and group plan lanes by
         their ``(plane, ISCM signature)`` key.
 
-        Memoized on the window's info identity: infos are pinned on
-        their plans, so a repeated window presents the same objects
-        and gets the same layout back -- including the *same command
-        list object*, which is what lets the chip key its V_TH
-        schedule cache on window identity.  Pinning the infos in the
-        entry keeps their ids unique among live objects, so an id
-        match is an identity match.
+        Memoized on the window's info identity, one window deep:
+        infos are pinned on their plans, so a repeat of the last
+        window presents the same objects and gets the same layout back
+        -- including the *same command list object*, which is what
+        lets the chip key its V_TH schedule cache on window identity.
         """
-        key = tuple(map(id, infos))
-        cached = self._layout_cache.get(key)
-        if cached is not None:
-            return cached[1]
+        memo = self._layout_memo
+        if (
+            memo is not None
+            and len(memo[0]) == len(infos)
+            and all(map(is_, memo[0], infos))
+        ):
+            return memo[1]
         commands: list = []
         sense_base: list[int] = []
         lane_groups: dict[tuple, list[int]] = {}
@@ -539,9 +527,7 @@ class MwsExecutor:
             commands.extend(plan_commands)
             lane_groups.setdefault(gkey, []).append(index)
         layout = (commands, sense_base, lane_groups)
-        if len(self._layout_cache) >= 4096:
-            self._layout_cache.clear()
-        self._layout_cache[key] = (tuple(infos), layout)
+        self._layout_memo = (infos, layout)
         return layout
 
     def _replay_latches(
@@ -649,24 +635,29 @@ class MwsExecutor:
         """Latency of a plan from the physically derived tMWS model,
         without executing it.
 
-        Memoized on the plan object: plans are frozen value objects
-        the engine's bound-plan cache reuses across windows, and the
-        service scheduler estimates every window's buckets from this
-        -- the model walk runs once per plan, not once per window.
-        The memo is keyed on this executor's ``timing`` instance, so
-        swapping in a differently parameterized ``TimingModel`` (or
-        estimating one plan through two executors) recomputes instead
-        of serving a stale value; bound plans belong to one chip, so
-        in the steady state the key never changes.  Like
-        ``_batch_info``, the memo is a pure derivation stored with one
-        atomic ``__setattr__`` -- racing threads write the identical
-        value, so it needs no lock.
+        Memoized on the plan's template (on the plan itself when it
+        was planned directly): the estimate depends only on the sense
+        profile, which every plan bound from one template shares, and
+        the service scheduler estimates every window's buckets from
+        this -- the model walk runs once per template, not per plan.
+        The memo holds one ``(timing, estimate)`` pair per
+        ``TimingModel`` instance that asked -- one per chip executor,
+        since a template binds plans on every chip -- so swapping in a
+        differently parameterized model recomputes instead of serving
+        a stale value.  Like ``_batch_info``, the memo is a pure
+        derivation stored with one atomic ``__setattr__`` -- racing
+        threads at worst drop each other's pair and recompute it, so
+        it needs no lock.
         """
-        cached = plan.__dict__.get("_est_latency_us")
-        if cached is not None and cached[0] is self.timing:
-            return cached[1]
+        owner = plan.__dict__.get("_template", plan)
+        memo = owner.__dict__.get("_est_latency_us", ())
+        for timing, total in memo:
+            if timing is self.timing:
+                return total
         total = 0.0
-        for wordlines, blocks in plan.sense_profile():
+        for wordlines, blocks in owner.sense_profile():
             total += self.timing.t_mws_us(wordlines, blocks)
-        object.__setattr__(plan, "_est_latency_us", (self.timing, total))
+        object.__setattr__(
+            owner, "_est_latency_us", memo + ((self.timing, total),)
+        )
         return total

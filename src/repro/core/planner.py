@@ -382,7 +382,12 @@ class PlanTemplate:
             )
         if plane is None:
             raise TemplateBindError("template contains no sense steps")
-        return Plan(plane=plane, steps=tuple(bound))
+        plan = Plan(plane=plane, steps=tuple(bound))
+        # Derivations that depend only on the template (sense profile,
+        # latency estimate, batch codes and charges) are memoized on
+        # it once and shared by every plan it binds.
+        object.__setattr__(plan, "_template", self)
+        return plan
 
 
 # ----------------------------------------------------------------------

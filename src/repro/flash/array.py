@@ -420,7 +420,8 @@ class PlaneArray:
 
     def block(self, address: BlockAddress) -> BlockArray:
         address.validate(self.geometry)
-        if address not in self._blocks:
+        block = self._blocks.get(address)
+        if block is None:
             # Derive a per-block RNG stream so block contents are
             # reproducible regardless of materialization order.
             key = (
@@ -430,14 +431,14 @@ class PlaneArray:
                 address.subblock,
             )
             rng = np.random.default_rng(abs(hash(key)) % (2**63))
-            self._blocks[address] = BlockArray(
+            block = self._blocks[address] = BlockArray(
                 self.geometry,
                 address,
                 calibration=self.calibration,
                 rng=rng,
                 noise_enabled=self.noise_enabled,
             )
-        return self._blocks[address]
+        return block
 
     def materialized(self) -> tuple[BlockAddress, ...]:
         return tuple(sorted(self._blocks))

@@ -157,17 +157,20 @@ class NandFlashChip:
         #: from quarantine (a breaker state that can half-open): an
         #: offline chip never serves again.
         self.offline = False
-        #: MwsCommand -> (stacked operand-row snapshot, group-size
-        #: profile, (block, n_wordlines) read-accounting pairs,
-        #: per-block layout versions) for the batched path.  Commands
-        #: are immutable value objects the engine's bound-plan cache
-        #: reuses across windows and block objects are stable once
+        #: Owner token of the batched path's per-command memo, which
+        #: lives on the :class:`~repro.core.commands.MwsCommand`
+        #: itself (``_resolved``: token, stacked operand-row snapshot,
+        #: group-size profile, (block, n_wordlines) read-accounting
+        #: pairs, per-block layout versions) and so exactly as long as
+        #: the command.  Commands recur while the engine's bound-plan
+        #: cache reuses their plans, and block objects are stable once
         #: materialized, so resolution (address validation, plane
         #: check, block lookup), the metadata scan, and the row gather
-        #: run once per distinct command -- revalidated only when a
-        #: target block's ``layout_version`` moves (program/erase,
-        #: which are the only writers of the packed plane).
-        self._resolved_targets: dict[object, tuple] = {}
+        #: run once per command -- revalidated when a target block's
+        #: ``layout_version`` moves (program/erase, the only writers of
+        #: the packed plane).  A fresh token (another chip, or a fault
+        #: injector attached since) invalidates every entry at once.
+        self._resolved_token = object()
         #: id(commands) -> (pinned command list, vref_offset,
         #: force_vth, prepared V_TH schedule, (block, layout_version)
         #: revalidation pairs) for the batched error plane.  The
@@ -200,8 +203,8 @@ class NandFlashChip:
         bad-block set existed."""
         self.fault_injector = injector
         self.fault_chip_id = chip_id
+        self._resolved_token = object()
         with self._memo_lock:
-            self._resolved_targets.clear()
             self._vth_schedules.clear()
 
     def cycle_block(self, address: BlockAddress, pe_cycles: int) -> None:
@@ -613,13 +616,13 @@ class NandFlashChip:
                 "execute_sense_batch requires the packed error-free "
                 "plane; use execute_sense per command instead"
             )
-        resolved = self._resolved_targets
+        token = self._resolved_token
         stacks: list[np.ndarray] = []
         profiles: list[tuple[int, ...]] = []
         for command in commands:
-            cached = resolved.get(command)
-            if cached is not None:
-                stack, profile, reads, versions = cached
+            cached = command.__dict__.get("_resolved")
+            if cached is not None and cached[0] is token:
+                _, stack, profile, reads, versions = cached
                 for (block, _), version in zip(reads, versions):
                     if block.layout_version != version:
                         break
@@ -633,15 +636,10 @@ class NandFlashChip:
             stack, profile, reads = self.sensing.gather_sense(blocks)
             for block, n_wordlines in reads:
                 block.note_read(n_wordlines)
-            with self._memo_lock:
-                if len(resolved) >= 4096:
-                    resolved.clear()
-                resolved[command] = (
-                    stack,
-                    profile,
-                    reads,
-                    tuple(block.layout_version for block, _ in reads),
-                )
+            versions = tuple(block.layout_version for block, _ in reads)
+            object.__setattr__(
+                command, "_resolved", (token, stack, profile, reads, versions)
+            )
             stacks.append(stack)
             profiles.append(profile)
         return self.sensing.sense_batch_stacks(stacks, profiles)

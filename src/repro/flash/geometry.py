@@ -149,6 +149,11 @@ class BlockAddress:
             raise IndexError(f"subblock {self.subblock} out of range")
 
 
+#: (plane, block, subblock) -> the interned :class:`BlockAddress`;
+#: bounded by the sub-blocks any geometry in the process addresses.
+_BLOCK_ADDRESSES: dict[tuple[int, int, int], BlockAddress] = {}
+
+
 @dataclass(frozen=True, order=True)
 class WordlineAddress:
     """Physical address of one wordline within a sub-block."""
@@ -160,7 +165,14 @@ class WordlineAddress:
 
     @property
     def block_address(self) -> BlockAddress:
-        return BlockAddress(self.plane, self.block, self.subblock)
+        """This wordline's sub-block, interned: every wordline of one
+        sub-block hands out the same :class:`BlockAddress` object, so
+        the plans bound against it share one address per sub-block."""
+        key = (self.plane, self.block, self.subblock)
+        address = _BLOCK_ADDRESSES.get(key)
+        if address is None:
+            address = _BLOCK_ADDRESSES.setdefault(key, BlockAddress(*key))
+        return address
 
     def validate(self, geometry: ChipGeometry) -> None:
         self.block_address.validate(geometry)

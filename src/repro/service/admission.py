@@ -30,6 +30,7 @@ them (see :mod:`repro.service.scheduler`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.expressions import Expression
@@ -54,6 +55,9 @@ class Submission:
     deadline_us: float | None = None
 
     def __post_init__(self) -> None:
+        for value in (self.submitted_us, self.deadline_us):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"submission times must be finite: {value}")
         if self.submitted_us < 0:
             raise ValueError("submitted_us must be >= 0")
         if self.deadline_us is not None and self.deadline_us <= self.submitted_us:

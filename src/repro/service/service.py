@@ -14,11 +14,11 @@ bottleneck resource are simulation-accurate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.expressions import Expression
+from repro.core.expressions import Expression, operand_names
 from repro.flash.faults import RecoveryPolicy
 from repro.service.admission import AdmissionQueue, Submission
 from repro.service.health import (
@@ -34,7 +34,12 @@ from repro.service.scheduler import (
     schedule_window,
 )
 from repro.ssd.controller import QueryResult, SmallSsd
-from repro.ssd.events import ArbitrationConfig, StageJob, simulate_stages
+from repro.ssd.events import (
+    ArbitrationConfig,
+    JobTable,
+    StageJob,
+    simulate_stages,
+)
 from repro.ssd.maintenance import MaintenanceConfig, MaintenanceManager
 from repro.ssd.query_engine import ChunkTask
 
@@ -137,18 +142,25 @@ class ServiceReport:
 
 
 class _QueryState:
-    """Mutable per-query accumulator while a run executes."""
+    """Mutable per-query accumulator while a run executes.
+
+    Keeps only what completion needs -- the result length, the
+    template-hit flag, the chunk pieces and the costs -- never the
+    bound plans: those belong to the query's window and die with it.
+    """
 
     __slots__ = (
-        "submission", "prepared", "pieces", "n_senses", "energy_nj",
-        "chip_busy", "shared_chunks", "cached_chunks", "admitted_us",
-        "completed_us", "error", "retries", "degraded_chunks",
-        "fault_us", "reconstructed_chunks", "reconstruction_us",
+        "submission", "n_bits", "template_hit", "pieces", "n_senses",
+        "energy_nj", "chip_busy", "shared_chunks", "cached_chunks",
+        "admitted_us", "completed_us", "error", "retries",
+        "degraded_chunks", "fault_us", "reconstructed_chunks",
+        "reconstruction_us",
     )
 
     def __init__(self, submission, prepared) -> None:
         self.submission = submission
-        self.prepared = prepared
+        self.n_bits = prepared.n_bits
+        self.template_hit = prepared.template_hit
         self.pieces: list[np.ndarray | None] = [None] * prepared.n_chunks
         self.n_senses = 0
         self.energy_nj = 0.0
@@ -279,6 +291,8 @@ class QueryService:
             raise ValueError(
                 f"unknown policy {policy!r}; choose from {POLICIES}"
             )
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.ssd = ssd
         self.engine = ssd.engine
         #: Retry/backoff/degradation policy for fault recovery.  An
@@ -293,7 +307,7 @@ class QueryService:
         self.health = ChipHealthTracker(len(ssd.chips), config=health)
         self.policy = policy
         self.share_senses = share_senses
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
         #: Arbitration config the event replay runs under; ``None``
         #: keeps the exact FCFS sweep (the measured baseline).
         self.arbitration: ArbitrationConfig | None = (
@@ -345,9 +359,19 @@ class QueryService:
         """Enqueue one query arriving at virtual time ``at_us``;
         returns its query id.  ``deadline_us`` is absolute virtual
         time; the ``edf`` policy schedules toward it and the report
-        grades it (other policies record but ignore it)."""
+        grades it (other policies record but ignore it).
+
+        A query the service could never execute is rejected here, so
+        it cannot take the rest of the trace down inside :meth:`run`:
+        an operand the SSD does not store raises
+        :class:`~repro.ssd.ftl.UnknownVectorError` (a ``KeyError``);
+        operands of different lengths, an expression without operands
+        and non-finite times raise ``ValueError``."""
+        names = sorted(operand_names(expr))
+        if not names:
+            raise ValueError("expression references no operands")
+        self.ssd.ftl.validate_co_located(names)
         query_id = self._next_id
-        self._next_id += 1
         self.admission.submit(
             Submission(
                 query_id=query_id,
@@ -358,6 +382,7 @@ class QueryService:
                 deadline_us=deadline_us,
             )
         )
+        self._next_id += 1
         return query_id
 
     def submit_traffic(self, submissions) -> list[int]:
@@ -406,7 +431,7 @@ class QueryService:
         """
         windows = self.admission.windows()
         states: dict[int, _QueryState] = {}
-        jobs: list[StageJob] = []
+        jobs = JobTable()
         #: Query id per job; ``None`` marks background maintenance
         #: jobs, which complete in the simulation but belong to no
         #: query.
@@ -446,14 +471,7 @@ class QueryService:
         quarantines_before = self.health.quarantines
         manager = self.maintenance
         if manager is not None:
-            maint_before = (
-                manager.stats.blocks_reclaimed,
-                manager.stats.pages_migrated,
-                manager.stats.blocks_retired,
-                manager.stats.chips_drained,
-                manager.stats.columns_rebuilt,
-                manager.stats.busy_us,
-            )
+            maint_before = replace(manager.stats)
             # Stuck bad blocks never re-enter the allocation pool.
             manager.scrub_bad_blocks()
 
@@ -607,16 +625,15 @@ class QueryService:
                             else 0
                         )
                 priority, deadline_s, preemptible = directives[task.query]
-                jobs.append(
-                    self.engine.stage_job(
-                        task.chip,
-                        outcome.latency_us,
-                        ready_at_s=ready_s,
-                        priority=priority,
-                        deadline_s=deadline_s,
-                        preemptible=preemptible,
-                        fault_delay_us=outcome.recovery_us,
-                    )
+                self.engine.stage_job(
+                    jobs,
+                    task.chip,
+                    outcome.latency_us,
+                    ready_at_s=ready_s,
+                    priority=priority,
+                    deadline_s=deadline_s,
+                    preemptible=preemptible,
+                    fault_delay_us=outcome.recovery_us,
                 )
                 job_owner.append(task.query)
                 for rchip, busy_us in outcome.recovery_work:
@@ -624,15 +641,14 @@ class QueryService:
                     # real dies: they join the event simulation as
                     # query-owned jobs, so the query's completion time
                     # and the survivors' utilization both see them.
-                    jobs.append(
-                        self.engine.stage_job(
-                            rchip,
-                            busy_us,
-                            ready_at_s=ready_s,
-                            priority=priority,
-                            deadline_s=deadline_s,
-                            preemptible=preemptible,
-                        )
+                    self.engine.stage_job(
+                        jobs,
+                        rchip,
+                        busy_us,
+                        ready_at_s=ready_s,
+                        priority=priority,
+                        deadline_s=deadline_s,
+                        preemptible=preemptible,
                     )
                     job_owner.append(task.query)
             transitions = self.health.observe_window(
@@ -777,16 +793,12 @@ class QueryService:
         }
         if manager is None:
             return out
-        reclaimed, migrated, retired, drained, rebuilt, busy_us = before
-        stats = manager.stats
-        out.update(
-            blocks_reclaimed=stats.blocks_reclaimed - reclaimed,
-            pages_migrated=stats.pages_migrated - migrated,
-            blocks_retired=stats.blocks_retired - retired,
-            chips_drained=stats.chips_drained - drained,
-            columns_rebuilt=stats.columns_rebuilt - rebuilt,
-            maintenance_overhead_us=stats.busy_us - busy_us,
-        )
+        for name in (
+            "blocks_reclaimed", "pages_migrated", "blocks_retired",
+            "chips_drained", "columns_rebuilt",
+        ):
+            out[name] = getattr(manager.stats, name) - getattr(before, name)
+        out["maintenance_overhead_us"] = manager.stats.busy_us - before.busy_us
         return out
 
     def _served(self, state: _QueryState) -> ServedQuery:
@@ -797,14 +809,14 @@ class QueryService:
             # and sim time its attempts cost.
             bits = np.zeros(0, dtype=np.uint8)
         else:
-            bits = self.engine.assemble_bits(state.prepared, state.pieces)
+            bits = self.engine.assemble_bits(state, state.pieces)
         result = QueryResult(
             bits=bits,
             n_senses=state.n_senses,
             latency_us=max(state.chip_busy.values(), default=0.0),
             energy_nj=state.energy_nj,
             makespan_us=state.completed_us - state.admitted_us,
-            template_hit=state.prepared.template_hit,
+            template_hit=state.template_hit,
         )
         return ServedQuery(
             query_id=submission.query_id,
@@ -827,40 +839,11 @@ class QueryService:
         )
 
     @staticmethod
-    def _stats(
-        served: tuple[ServedQuery, ...],
-        *,
-        n_windows: int,
-        n_chunk_tasks: int,
-        n_senses: int,
-        shared_plans: int,
-        shared_senses: int,
-        cached_plans: int,
-        cached_senses: int,
-        makespan_us: float,
-        bottleneck: str,
-        preemptions: int = 0,
-        preemption_overhead_us: float = 0.0,
-        resource_utilization: dict[str, float] | None = None,
-        faults_injected: int = 0,
-        fault_retries: int = 0,
-        degraded_senses: int = 0,
-        quarantines: int = 0,
-        fault_overhead_us: float = 0.0,
-        reconstructed_plans: int = 0,
-        reconstruction_senses: int = 0,
-        reconstruction_overhead_us: float = 0.0,
-        chips_lost: int = 0,
-        columns_rebuilt: int = 0,
-        blocks_reclaimed: int = 0,
-        pages_migrated: int = 0,
-        blocks_retired: int = 0,
-        chips_drained: int = 0,
-        maintenance_overhead_us: float = 0.0,
-        wear_min: int = 0,
-        wear_max: int = 0,
-        wear_mean: float = 0.0,
-    ) -> ServiceStats:
+    def _stats(served: tuple[ServedQuery, ...], **counters) -> ServiceStats:
+        """The run's :class:`ServiceStats`: ``counters`` are the run's
+        own tallies, passed through by field name; the latency,
+        throughput, deadline and failure figures derive from
+        ``served``."""
         latency = LatencySummary.from_latencies(
             [q.latency_us for q in served]
         )
@@ -879,42 +862,13 @@ class QueryService:
         )
         return ServiceStats(
             n_queries=len(served),
-            n_windows=n_windows,
-            n_chunk_tasks=n_chunk_tasks,
-            n_senses=n_senses,
-            shared_plans=shared_plans,
-            shared_senses=shared_senses,
-            cached_plans=cached_plans,
-            cached_senses=cached_senses,
             template_hits=sum(q.result.template_hit for q in served),
             n_deadlines=len(with_deadline),
             deadlines_met=sum(bool(q.deadline_met) for q in with_deadline),
             latency=latency,
             throughput_qps=throughput,
             span_us=span_us,
-            makespan_us=makespan_us,
-            bottleneck=bottleneck,
-            preemptions=preemptions,
-            preemption_overhead_us=preemption_overhead_us,
-            resource_utilization=resource_utilization or {},
-            faults_injected=faults_injected,
-            fault_retries=fault_retries,
-            degraded_senses=degraded_senses,
-            quarantines=quarantines,
             queries_failed=sum(1 for q in served if q.error is not None),
-            fault_overhead_us=fault_overhead_us,
             fault_attributed_misses=fault_attributed_misses,
-            reconstructed_plans=reconstructed_plans,
-            reconstruction_senses=reconstruction_senses,
-            reconstruction_overhead_us=reconstruction_overhead_us,
-            chips_lost=chips_lost,
-            columns_rebuilt=columns_rebuilt,
-            blocks_reclaimed=blocks_reclaimed,
-            pages_migrated=pages_migrated,
-            blocks_retired=blocks_retired,
-            chips_drained=chips_drained,
-            maintenance_overhead_us=maintenance_overhead_us,
-            wear_min=wear_min,
-            wear_max=wear_max,
-            wear_mean=wear_mean,
+            **counters,
         )

@@ -53,7 +53,11 @@ bit-identical and cost counters float-identical either way
 from repro.ssd.config import SsdConfig, fig7_config, table1_config
 from repro.ssd.controller import QueryResult, SmallSsd
 from repro.ssd.events import SerialResource, StageJob, simulate_stages
-from repro.ssd.ftl import FlashTranslationLayer, PagePlacement
+from repro.ssd.ftl import (
+    FlashTranslationLayer,
+    PagePlacement,
+    UnknownVectorError,
+)
 from repro.ssd.pipeline import PipelineModel, PlatformTiming
 from repro.ssd.query_engine import (
     BatchResult,
@@ -80,6 +84,7 @@ __all__ = [
     "SmallSsd",
     "SsdConfig",
     "StageJob",
+    "UnknownVectorError",
     "fig7_config",
     "simulate_stages",
     "table1_config",

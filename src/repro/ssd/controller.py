@@ -166,8 +166,12 @@ class SmallSsd:
         directory entry are removed, so the SSD is never left
         half-registered (the programmed pages themselves are leaked
         until garbage collection, like any interrupted write).
+        Raises ``ValueError`` for any value other than 0 and 1.
         """
-        data = np.asarray(bits, dtype=np.uint8)
+        raw = np.asarray(bits)
+        if np.any((raw != 0) & (raw != 1)):
+            raise ValueError(f"vector {name!r} holds values other than 0/1")
+        data = np.asarray(raw, dtype=np.uint8)
         record = self.ftl.register_vector(
             name,
             data.size,

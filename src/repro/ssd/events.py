@@ -19,7 +19,9 @@ virtual clock, and one simulation over the whole trace yields exact
 cross-window contention (a window's jobs queue behind the previous
 window's stragglers on shared chips, channels, and the external
 link).  Within one ready time, FCFS ties break by submission order --
-which is precisely the knob the multi-query scheduler turns.
+which is precisely the knob the multi-query scheduler turns.  Such
+streams are stored column by column in a :class:`JobTable`, the form
+both simulators read; :class:`StageJob` remains the one-job API.
 
 **Arbitrated mode.**  Passing an :class:`ArbitrationConfig` to
 :func:`simulate_stages` switches to a *preemptible* resource model:
@@ -98,6 +100,21 @@ class ArbitrationConfig:
             raise ValueError("min_remaining_s must be >= 0")
 
 
+def _check_stages(durations, resources, fault_delay_s) -> None:
+    if len(durations) != len(resources):
+        raise ValueError("durations and resources must align")
+    if not durations:
+        raise ValueError("job needs at least one stage")
+    if fault_delay_s < 0:
+        raise ValueError("fault_delay_s must be >= 0")
+
+
+def _urgency(deadline: float | None, priority: float) -> tuple:
+    if deadline is not None:
+        return (0, deadline, -priority)
+    return (1, 0.0, -priority)
+
+
 @dataclass(frozen=True)
 class StageJob:
     """One unit of work flowing through the pipeline.
@@ -123,6 +140,9 @@ class StageJob:
     timeline, and :attr:`StageReport.fault_overhead` totals it.  Both
     simulators skip the addition entirely at 0.0, keeping fault-free
     schedules float-identical.
+
+    This is the one-job API; streams of many jobs (one per chunk per
+    window in the query service) go into a :class:`JobTable` instead.
     """
 
     ready_at: float
@@ -134,12 +154,7 @@ class StageJob:
     fault_delay_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if len(self.durations) != len(self.resources):
-            raise ValueError("durations and resources must align")
-        if not self.durations:
-            raise ValueError("job needs at least one stage")
-        if self.fault_delay_s < 0:
-            raise ValueError("fault_delay_s must be >= 0")
+        _check_stages(self.durations, self.resources, self.fault_delay_s)
 
     @property
     def urgency(self) -> tuple[int, float, float]:
@@ -148,9 +163,61 @@ class StageJob:
         earlier deadline, then by higher priority.  Preemption requires
         *strictly* smaller urgency, so equal-urgency FIFO traffic never
         self-preempts."""
-        if self.deadline is not None:
-            return (0, self.deadline, -self.priority)
-        return (1, 0.0, -self.priority)
+        return _urgency(self.deadline, self.priority)
+
+
+class JobTable:
+    """A stream of stage jobs stored column by column, one list per
+    :class:`StageJob` field -- what both simulators read.
+
+    The query service emits one job per chunk task per window and
+    simulates the whole run at once, so a run holds tens of thousands
+    of jobs until its end.  Columns of floats, strings and tuples of
+    them (which the cyclic collector untracks) keep those jobs out of
+    every full collection; one object per job would be walked by
+    each.
+    """
+
+    __slots__ = (
+        "ready_at", "durations", "resources", "priority", "deadline",
+        "preemptible", "fault_delay_s",
+    )
+
+    def __init__(self, jobs=()) -> None:
+        for name in self.__slots__:
+            setattr(self, name, [])
+        self.extend(jobs)
+
+    def add(
+        self,
+        ready_at: float,
+        durations: tuple[float, ...],
+        resources: tuple[str, ...],
+        priority: float = 0.0,
+        deadline: float | None = None,
+        preemptible: bool = True,
+        fault_delay_s: float = 0.0,
+    ) -> None:
+        """Append one job, validated as :class:`StageJob` is."""
+        _check_stages(durations, resources, fault_delay_s)
+        self.ready_at.append(ready_at)
+        self.durations.append(durations)
+        self.resources.append(resources)
+        self.priority.append(priority)
+        self.deadline.append(deadline)
+        self.preemptible.append(preemptible)
+        self.fault_delay_s.append(fault_delay_s)
+
+    def extend(self, jobs) -> None:
+        """Append :class:`StageJob` objects."""
+        for job in jobs:
+            self.add(
+                job.ready_at, job.durations, job.resources, job.priority,
+                job.deadline, job.preemptible, job.fault_delay_s,
+            )
+
+    def __len__(self) -> int:
+        return len(self.ready_at)
 
 
 #: Priority carried by background maintenance work (GC copybacks,
@@ -263,7 +330,7 @@ class StageReport:
 
 
 def simulate_stages(
-    jobs: list[StageJob],
+    jobs: JobTable | list[StageJob],
     *,
     arbitration: ArbitrationConfig | None = None,
 ) -> StageReport:
@@ -283,6 +350,8 @@ def simulate_stages(
     or priority the arbitrated schedule is *identical* to the FCFS
     sweep -- same start times, same floats.
     """
+    if not isinstance(jobs, JobTable):
+        jobs = JobTable(jobs)
     if arbitration is not None:
         return _simulate_arbitrated(jobs, arbitration)
     if not jobs:
@@ -303,13 +372,14 @@ def simulate_stages(
     # call and four attribute accesses per stage execution --
     # semantics identical to ``SerialResource.execute``, which remains
     # the single-resource API.
-    heap: list[tuple[float, int, int, int]] = []
     push = heapq.heappush
     pop = heapq.heappop
-    seq = 0
-    for idx, job in enumerate(jobs):
-        push(heap, (job.ready_at, seq, idx, 0))
-        seq += 1
+    heap = [(ready, idx, idx, 0) for idx, ready in enumerate(jobs.ready_at)]
+    heapq.heapify(heap)
+    seq = len(heap)
+    all_durations = jobs.durations
+    all_resources = jobs.resources
+    fault_delays = jobs.fault_delay_s
 
     available: dict[str, float] = {}
     busy: dict[str, float] = {}
@@ -318,16 +388,16 @@ def simulate_stages(
     fault_overhead = 0.0
     while heap:
         ready_at, _, idx, stage = pop(heap)
-        job = jobs[idx]
-        name = job.resources[stage]
-        duration = job.durations[stage]
+        durations = all_durations[idx]
+        name = all_resources[idx][stage]
+        duration = durations[stage]
         if duration < 0:
             raise ValueError("duration must be >= 0")
-        if stage == 0 and job.fault_delay_s:
+        if stage == 0 and fault_delays[idx]:
             # Recovery time occupies the die ahead of the useful work;
             # guarded so fault-free schedules stay float-identical.
-            duration += job.fault_delay_s
-            fault_overhead += job.fault_delay_s
+            duration += fault_delays[idx]
+            fault_overhead += fault_delays[idx]
         start = available.get(name, 0.0)
         if ready_at > start:
             start = ready_at
@@ -335,7 +405,7 @@ def simulate_stages(
         available[name] = end
         busy[name] = busy.get(name, 0.0) + duration
         served[name] = served.get(name, 0) + 1
-        if stage + 1 < len(job.durations):
+        if stage + 1 < len(durations):
             push(heap, (end, seq, idx, stage + 1))
             seq += 1
         else:
@@ -372,7 +442,7 @@ _ARRIVE, _FINISH = 0, 1
 
 
 def _simulate_arbitrated(
-    jobs: list[StageJob], arb: ArbitrationConfig
+    jobs: JobTable, arb: ArbitrationConfig
 ) -> StageReport:
     """Event-driven preemptive simulation (see module docstring).
 
@@ -388,8 +458,12 @@ def _simulate_arbitrated(
     """
     if not jobs:
         return StageReport(makespan=0.0, completion_times=[])
-    for job in jobs:
-        if any(d < 0 for d in job.durations):
+    all_durations = jobs.durations
+    all_resources = jobs.resources
+    preemptible = jobs.preemptible
+    urgency = list(map(_urgency, jobs.deadline, jobs.priority))
+    for durations in all_durations:
+        if any(d < 0 for d in durations):
             raise ValueError("duration must be >= 0")
 
     push = heapq.heappush
@@ -400,13 +474,15 @@ def _simulate_arbitrated(
     events: list[tuple[float, int, int, object]] = []
     seq = 0
     fault_overhead = 0.0
-    for idx, job in enumerate(jobs):
-        first = job.durations[0]
-        if job.fault_delay_s:
+    for idx, (ready_at, durations, delay) in enumerate(
+        zip(jobs.ready_at, all_durations, jobs.fault_delay_s)
+    ):
+        first = durations[0]
+        if delay:
             # Mirror the FCFS sweep: recovery extends the first stage.
-            first += job.fault_delay_s
-            fault_overhead += job.fault_delay_s
-        push(events, (job.ready_at, seq, _ARRIVE, _Unit(idx, 0, first)))
+            first += delay
+            fault_overhead += delay
+        push(events, (ready_at, seq, _ARRIVE, _Unit(idx, 0, first)))
         seq += 1
 
     #: name -> [running unit | None, token, wait heap, seg_start, end]
@@ -442,8 +518,8 @@ def _simulate_arbitrated(
             busy[name] = busy.get(name, 0.0) + unit.remaining
             served[name] = served.get(name, 0) + 1
             state[0] = None
-            job = jobs[unit.idx]
-            if unit.stage + 1 < len(job.durations):
+            durations = all_durations[unit.idx]
+            if unit.stage + 1 < len(durations):
                 push(
                     events,
                     (
@@ -453,7 +529,7 @@ def _simulate_arbitrated(
                         _Unit(
                             unit.idx,
                             unit.stage + 1,
-                            job.durations[unit.stage + 1],
+                            durations[unit.stage + 1],
                         ),
                     ),
                 )
@@ -466,8 +542,7 @@ def _simulate_arbitrated(
             continue
 
         unit = payload
-        job = jobs[unit.idx]
-        name = job.resources[unit.stage]
+        name = all_resources[unit.idx][unit.stage]
         state = resources.get(name)
         if state is None:
             state = resources[name] = [None, 0, [], 0.0, 0.0]
@@ -477,11 +552,10 @@ def _simulate_arbitrated(
         if running is None:
             start(name, state, unit, t)
             continue
-        victim_job = jobs[running.idx]
         if (
-            victim_job.preemptible
+            preemptible[running.idx]
             and running.suspends < arb.max_suspends
-            and job.urgency < victim_job.urgency
+            and urgency[unit.idx] < urgency[running.idx]
             and t >= state[3]  # no suspend already in progress
             and state[4] - t > arb.min_remaining_s
         ):
@@ -496,11 +570,11 @@ def _simulate_arbitrated(
             preempted[name] = preempted.get(name, 0) + 1
             push(
                 state[2],
-                (victim_job.urgency, running.order, running),
+                (urgency[running.idx], running.order, running),
             )
             start(name, state, unit, t + arb.suspend_cost_s)
         else:
-            push(state[2], (job.urgency, unit.order, unit))
+            push(state[2], (urgency[unit.idx], unit.order, unit))
 
     return StageReport(
         makespan=max(completion),

@@ -16,6 +16,10 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 
+class UnknownVectorError(KeyError):
+    """A vector name the FTL does not store."""
+
+
 @dataclass(frozen=True)
 class PagePlacement:
     """Where one chunk of a logical vector lives."""
@@ -328,7 +332,9 @@ class FlashTranslationLayer:
         try:
             return self._vectors[name]
         except KeyError:
-            raise KeyError(f"vector {name!r} is not stored") from None
+            raise UnknownVectorError(
+                f"vector {name!r} is not stored"
+            ) from None
 
     def unregister(self, name: str) -> None:
         """Drop a vector's record (rollback of a failed striped write

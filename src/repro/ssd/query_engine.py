@@ -33,8 +33,8 @@ it:
    :mod:`repro.flash.packing`) through the replay and are unpacked
    once at the result boundary.
 4. **Event-simulated makespan** -- every executed chunk also becomes a
-   :class:`~repro.ssd.events.StageJob` (die sense -> channel DMA ->
-   external link) fed through the exact timeline simulator, so the
+   row of a :class:`~repro.ssd.events.JobTable` (die sense -> channel
+   DMA -> external link) fed through the exact timeline simulator, so the
    *functional* result carries the *pipelined* makespan the
    performance model would predict -- one code path for both.
 5. **Shared-sense execution** -- :meth:`QueryEngine.prepare` exposes a
@@ -129,7 +129,7 @@ from repro.flash.errors import (
 from repro.flash.faults import RecoveryPolicy
 from repro.flash.packing import pack_bits, unpack_rows
 from repro.ssd.config import SsdConfig, table1_config
-from repro.ssd.events import StageJob, simulate_stages
+from repro.ssd.events import JobTable, simulate_stages
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ssd.controller import QueryResult, SmallSsd
@@ -146,11 +146,11 @@ class _ChunkDirectory:
     """
 
     def __init__(self, controller, chunk: int) -> None:
-        self._controller = controller
-        self._chunk = chunk
+        self._lookup = controller.directory.lookup
+        self._suffix = f"@{chunk}"
 
     def lookup(self, name: str) -> StoredOperand:
-        return self._controller.stored(f"{name}@{self._chunk}")
+        return self._lookup(name + self._suffix)
 
     def __contains__(self, name: str) -> bool:
         try:
@@ -394,6 +394,14 @@ class ResultCache:
         with self._cache_lock:
             self._epoch = epoch
 
+    def _epoch_of(self, chip: int) -> tuple:
+        """The chip's snapshotted stamp (taken now if it has none);
+        called under the cache lock."""
+        epoch = self._epoch.get(chip)
+        if epoch is None:
+            epoch = self._epoch[chip] = self._stamp(chip)
+        return epoch
+
     def get(self, chip: int, plan: Plan) -> np.ndarray | None:
         """The plan's memoized packed result words, or ``None`` when
         absent or stale (the stale entry is evicted)."""
@@ -404,11 +412,7 @@ class ResultCache:
                 self._misses += 1
                 return None
             stamp, words, n_senses = entry
-            epoch = self._epoch.get(chip)
-            if epoch is None:
-                epoch = self._stamp(chip)
-                self._epoch[chip] = epoch
-            if stamp != epoch:
+            if stamp != self._epoch_of(chip):
                 del self._entries[key]
                 self._invalidations += 1
                 self._misses += 1
@@ -431,11 +435,7 @@ class ResultCache:
         words.setflags(write=False)
         key = (chip, plan)
         with self._cache_lock:
-            epoch = self._epoch.get(chip)
-            if epoch is None:
-                epoch = self._stamp(chip)
-                self._epoch[chip] = epoch
-            self._entries[key] = (epoch, words, n_senses)
+            self._entries[key] = (self._epoch_of(chip), words, n_senses)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -533,12 +533,18 @@ class StackCache:
     batched drain; the V_TH error plane draws fresh noise per sense
     and memoizes only its draw-independent schedule
     (:class:`~repro.flash.sensing.VthBatchSchedule`, same contract).
-    Per-chip entry maps are bounded with clear-on-full semantics like
-    the sensing row cache (``capacity`` plans, default 4096).
+    Each entry lives on its plan (``Plan._stack_rows``), so it lives
+    exactly as long as the plan: plans the engine's bound-plan cache
+    (or the result cache) still holds keep their rows, and a plan that
+    served one query frees its rows with it.  An entry counts only
+    while it carries its chip's current token; a new token -- the
+    stamp moved, or the chip stored ``capacity`` entries under the old
+    one (clear-on-full, like the sensing row cache; default 4096) --
+    drops the chip's memo at once.
 
-    Thread safety: the per-chip entry map is only touched by the
-    drain that owns the chip (under ``MwsExecutor.lock``); the outer
-    chip map and counters take an internal lock.
+    Thread safety: a chip's token and entry count are only touched by
+    the drain that owns the chip (under ``MwsExecutor.lock``); the
+    outer chip map and counters take an internal lock.
     """
 
     def __init__(self, ssd: "SmallSsd", *, capacity: int = 4096) -> None:
@@ -546,8 +552,9 @@ class StackCache:
             raise ValueError("capacity must be >= 1")
         self.ssd = ssd
         self.capacity = capacity
-        #: chip -> (layout/content stamp, plan -> (rows, reads)).
-        self._chips: dict[int, tuple[tuple, dict]] = {}
+        #: chip -> [layout/content stamp, entry token, entries stored
+        #: under the token].
+        self._chips: dict[int, list] = {}
         self._hits = 0
         self._misses = 0
         self._invalidations = 0
@@ -572,21 +579,28 @@ class StackCache:
         has no batched equivalent."""
         stamp = self._stamp(chip)
         with self._lock:
-            entry = self._chips.get(chip)
-            if entry is not None and entry[0] == stamp:
-                plan_rows = entry[1]
-            else:
-                if entry is not None:
+            state = self._chips.get(chip)
+            if state is None or state[0] != stamp:
+                if state is not None:
                     self._invalidations += 1
-                plan_rows = {}
-                self._chips[chip] = (stamp, plan_rows)
+                state = self._chips[chip] = [stamp, object(), 0]
+
+        def lookup(plan):
+            entry = plan.__dict__.get("_stack_rows")
+            if entry is not None and entry[0] is state[1]:
+                return entry[1], entry[2]
+            return None
 
         def store(plan, rows, reads):
-            if len(plan_rows) >= self.capacity:
-                plan_rows.clear()
-            plan_rows[plan] = (rows, reads)
+            if state[2] >= self.capacity:
+                state[1] = object()
+                state[2] = 0
+            object.__setattr__(
+                plan, "_stack_rows", (state[1], rows, reads)
+            )
+            state[2] += 1
 
-        outcome = executor.execute_batch_reuse(plans, plan_rows, store)
+        outcome = executor.execute_batch_reuse(plans, lookup, store)
         if outcome is None:
             return None
         results, reused = outcome
@@ -596,10 +610,11 @@ class StackCache:
         return results, reused
 
     def entries(self, chip: int) -> int:
-        """Live entry count for one chip (test/introspection hook)."""
+        """Entries stored under the chip's current token (test/
+        introspection hook; some may have died with their plans)."""
         with self._lock:
-            entry = self._chips.get(chip)
-            return 0 if entry is None else len(entry[1])
+            state = self._chips.get(chip)
+            return 0 if state is None else state[2]
 
     def clear(self) -> None:
         with self._lock:
@@ -613,9 +628,7 @@ class StackCache:
                 misses=self._misses,
                 invalidations=self._invalidations,
                 senses_avoided=0,
-                entries=sum(
-                    len(entry[1]) for entry in self._chips.values()
-                ),
+                entries=sum(state[2] for state in self._chips.values()),
             )
 
 
@@ -935,6 +948,7 @@ class QueryEngine:
 
     def stage_job(
         self,
+        jobs: JobTable,
         chip: int,
         latency_us: float,
         *,
@@ -943,11 +957,12 @@ class QueryEngine:
         deadline_s: float | None = None,
         preemptible: bool = True,
         fault_delay_us: float = 0.0,
-    ) -> StageJob:
-        """Pipeline job for one chunk result: die sense -> channel DMA
-        -> external link (durations in seconds, the event simulator's
-        unit).  ``ready_at_s`` lets window streams arrive on the
-        virtual clock instead of all at t=0.
+    ) -> None:
+        """Append the pipeline job of one chunk result to ``jobs``:
+        die sense -> channel DMA -> external link (durations in
+        seconds, the event simulator's unit).  ``ready_at_s`` lets
+        window streams arrive on the virtual clock instead of all at
+        t=0.
 
         ``priority``/``deadline_s``/``preemptible`` thread scheduling
         directives into the arbitrated simulator
@@ -962,14 +977,14 @@ class QueryEngine:
         simulator extends the die stage by it, so fault recovery lands
         exactly in the simulated timeline."""
         dma_s, ext_s, resources = self._stage_constants(chip)
-        return StageJob(
-            ready_at=ready_at_s,
-            durations=(latency_us * 1e-6, dma_s, ext_s),
-            resources=resources,
-            priority=priority,
-            deadline=deadline_s,
-            preemptible=preemptible,
-            fault_delay_s=fault_delay_us * 1e-6,
+        jobs.add(
+            ready_at_s,
+            (latency_us * 1e-6, dma_s, ext_s),
+            resources,
+            priority,
+            deadline_s,
+            preemptible,
+            fault_delay_us * 1e-6,
         )
 
     def _drain_pool(self, size: int) -> ThreadPoolExecutor:
@@ -989,25 +1004,23 @@ class QueryEngine:
     def _execute_recovered(
         self,
         executor,
-        chip: int,
-        plan: Plan,
+        task: ChunkTask,
         injector,
         policy: RecoveryPolicy,
         force_degraded: bool,
-    ) -> tuple:
-        """Execute one plan under the fault-recovery policy.
+    ) -> ChunkOutcome:
+        """Execute one task's plan under the fault-recovery policy.
 
-        Returns ``(data, n_senses, latency_us, energy_nj, retries,
-        recovery_us, degraded, error)``.  Chip cost fields are counter
-        deltas across *every* attempt -- a failed sense still occupied
-        the die -- while ``recovery_us`` holds the controller-side
-        backoff and injected stalls (charged to the event simulation,
-        not the chip).  All fault draws come from the chip's own
+        Chip cost fields of the outcome are counter deltas across
+        *every* attempt -- a failed sense still occupied the die --
+        while ``recovery_us`` holds the controller-side backoff and
+        injected stalls (charged to the event simulation, not the
+        chip).  All fault draws come from the chip's own
         deterministic stream and happen inside this chip's drain, so
         the sequence is identical at any worker count.
         """
-        chip_obj = executor.chip
-        counters = chip_obj.counters
+        chip, plan = task.chip, task.plan
+        counters = executor.chip.counters
         busy_before = counters.busy_us
         energy_before = counters.energy_nj
         senses_before = counters.senses
@@ -1071,11 +1084,14 @@ class QueryEngine:
         data = None
         if result is not None:
             data = result.words if self.ssd.packed else result.bits
-        return (
+        return ChunkOutcome(
+            task,
             data,
             counters.senses - senses_before,
             counters.busy_us - busy_before,
             counters.energy_nj - energy_before,
+            False,
+            False,
             retries,
             recovery_us,
             degraded,
@@ -1217,19 +1233,9 @@ class QueryEngine:
                 # died *mid-window* is caught here before its queue
                 # raises out of the drain).
                 for position in positions:
-                    task = order[position]
                     outcomes[position] = outcome(
-                        task,
-                        None,
-                        0,
-                        0.0,
-                        0.0,
-                        False,
-                        False,
-                        0,
-                        0.0,
-                        False,
-                        ChipUnavailableError(
+                        order[position], None, 0, 0.0, 0.0, False,
+                        error=ChipUnavailableError(
                             f"chip {chip} is quarantined", chip=chip
                         ),
                     )
@@ -1303,64 +1309,28 @@ class QueryEngine:
                                 result.words if packed else result.bits
                             )
                             outcomes[position] = outcome(
-                                task,
-                                data,
-                                result.n_senses,
-                                result.latency_us,
-                                result.energy_nj,
-                                False,
-                                False,
-                                0,
-                                0.0,
-                                True,
-                                None,
+                                task, data, result.n_senses,
+                                result.latency_us, result.energy_nj,
+                                False, degraded=True,
                             )
                             if cache is not None:
                                 cache.put(
-                                    chip,
-                                    task.plan,
-                                    data,
-                                    result.n_senses,
+                                    chip, task.plan, data, result.n_senses
                                 )
                         unique = []
                     for position in unique:
                         task = order[position]
-                        (
-                            data,
-                            n_senses,
-                            latency_us,
-                            energy_nj,
-                            retries,
-                            recovery_us,
-                            was_degraded,
-                            error,
-                        ) = self._execute_recovered(
-                            executor,
-                            chip,
-                            task.plan,
-                            injector,
-                            policy,
-                            chip_degraded,
-                        )
-                        outcomes[position] = outcome(
-                            task,
-                            data,
-                            n_senses,
-                            latency_us,
-                            energy_nj,
-                            False,
-                            False,
-                            retries,
-                            recovery_us,
-                            was_degraded,
-                            error,
+                        done = outcomes[position] = self._execute_recovered(
+                            executor, task, injector, policy, chip_degraded
                         )
                         if (
                             cache is not None
-                            and error is None
-                            and data is not None
+                            and done.error is None
+                            and done.data is not None
                         ):
-                            cache.put(chip, task.plan, data, n_senses)
+                            cache.put(
+                                chip, task.plan, done.data, done.n_senses
+                            )
                 else:
                     queue = [
                         order[position].plan for position in unique
@@ -1385,22 +1355,14 @@ class QueryEngine:
                                 for plan in queue
                             ]
                     for position, result in zip(unique, results):
+                        task = order[position]
                         data = result.words if packed else result.bits
                         outcomes[position] = outcome(
-                            order[position],
-                            data,
-                            result.n_senses,
-                            result.latency_us,
-                            result.energy_nj,
-                            False,
+                            task, data, result.n_senses,
+                            result.latency_us, result.energy_nj, False,
                         )
                         if cache is not None:
-                            cache.put(
-                                chip,
-                                order[position].plan,
-                                data,
-                                result.n_senses,
-                            )
+                            cache.put(chip, task.plan, data, result.n_senses)
                 # The executor reports its own dispatch count, so the
                 # stat stays truthful when execute_batch falls back to
                 # the per-sense loop (unpacked plane, error injection).
@@ -1413,17 +1375,8 @@ class QueryEngine:
                     prior = outcomes[first]
                     shared_senses += prior.n_senses
                     outcomes[position] = outcome(
-                        order[position],
-                        prior.data,
-                        0,
-                        0.0,
-                        0.0,
-                        True,
-                        False,
-                        0,
-                        0.0,
-                        prior.degraded,
-                        prior.error,
+                        order[position], prior.data, 0, 0.0, 0.0, True,
+                        False, 0, 0.0, prior.degraded, prior.error,
                     )
             with self._lock:
                 self._executor_dispatches += dispatches
@@ -1528,15 +1481,8 @@ class QueryEngine:
                 if first is None:
                     continue
                 outcomes[position] = ChunkOutcome(
-                    task=task,
-                    data=first.data,
-                    n_senses=0,
-                    latency_us=0.0,
-                    energy_nj=0.0,
-                    shared=True,
-                    retries=prior.retries,
-                    recovery_us=prior.recovery_us,
-                    reconstructed=True,
+                    task, first.data, 0, 0.0, 0.0, True, False,
+                    prior.retries, prior.recovery_us, reconstructed=True,
                 )
                 reconstructed += 1
                 continue
@@ -1547,20 +1493,13 @@ class QueryEngine:
             except (ReconstructionError, KeyError):
                 memo[key] = None
                 continue
+            # The task's own chip spent nothing (it is gone); survivor
+            # time rides recovery_work so the service charges the
+            # right dies in the event simulation.
             fresh = ChunkOutcome(
-                task=task,
-                data=data,
-                n_senses=n_senses,
-                # The task's own chip spent nothing (it is gone);
-                # survivor time rides recovery_work so the service
-                # charges the right dies in the event simulation.
-                latency_us=0.0,
-                energy_nj=energy_nj,
-                shared=False,
-                retries=prior.retries,
-                recovery_us=prior.recovery_us,
-                reconstructed=True,
-                recovery_work=work,
+                task, data, n_senses, 0.0, energy_nj, False, False,
+                prior.retries, prior.recovery_us,
+                reconstructed=True, recovery_work=work,
             )
             outcomes[position] = fresh
             memo[key] = fresh
@@ -1582,7 +1521,10 @@ class QueryEngine:
     ) -> np.ndarray:
         """Concatenate per-chunk result pages (packed words or bytes)
         into the query's result bit vector, truncated to its true
-        length -- the single unpack at the result boundary."""
+        length -- the single unpack at the result boundary.  Only
+        ``prepared.n_bits`` is read, so any record carrying the
+        query's length will do (the service passes its per-query
+        state, which does not keep the bound plans)."""
         present = [p for p in pieces if p is not None]
         if not present:
             return np.empty(0, np.uint8)
@@ -1595,7 +1537,7 @@ class QueryEngine:
         return bits[: prepared.n_bits]
 
     def _execute(
-        self, expr: Expression, job_sink: list[StageJob]
+        self, expr: Expression, job_sink: JobTable
     ) -> "QueryResult":
         """Run one query functionally; append its pipeline jobs (one
         per chunk) to ``job_sink`` for event simulation."""
@@ -1622,12 +1564,11 @@ class QueryEngine:
             chip_busy[task.chip] = (
                 chip_busy.get(task.chip, 0.0) + outcome.latency_us
             )
-            job_sink.append(
-                self.stage_job(
-                    task.chip,
-                    outcome.latency_us,
-                    fault_delay_us=outcome.recovery_us,
-                )
+            self.stage_job(
+                job_sink,
+                task.chip,
+                outcome.latency_us,
+                fault_delay_us=outcome.recovery_us,
             )
         return QueryResult(
             bits=self.assemble_bits(prepared, pieces),
@@ -1646,7 +1587,7 @@ class QueryEngine:
         makespan of its own chunk job stream."""
         from dataclasses import replace
 
-        jobs: list[StageJob] = []
+        jobs = JobTable()
         result = self._execute(expr, jobs)
         report = simulate_stages(jobs)
         return replace(result, makespan_us=report.makespan * 1e6)
@@ -1658,7 +1599,7 @@ class QueryEngine:
         the sum of isolated queries."""
         from dataclasses import replace
 
-        jobs: list[StageJob] = []
+        jobs = JobTable()
         results: list["QueryResult"] = []
         spans: list[tuple[int, int]] = []
         for expr in exprs:

@@ -347,14 +347,16 @@ class TestQueryService:
         assert service.run().queries == ()
 
     def test_failed_run_preserves_submissions(self):
-        """An exception mid-run (e.g. an unknown operand) must not
-        discard the pending submissions: fixing the cause and retrying
-        serves them all."""
+        """An exception mid-run (e.g. an operand deleted after its
+        query was admitted) must not discard the pending submissions:
+        fixing the cause and retrying serves them all."""
         ssd, env = make_ssd()
         service = ssd.service()
         good = And(Operand("a"), Operand("b"))
+        ssd.write_vector("missing", np.zeros_like(env["a"]), group="fix")
         service.submit(good, at_us=0.0)
         service.submit(Operand("missing"), at_us=1.0)
+        ssd.delete_vector("missing")
         with pytest.raises(KeyError):
             service.run()
         ssd.write_vector(
