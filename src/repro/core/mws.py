@@ -29,7 +29,6 @@ recovery batches likewise via
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from operator import is_
 
@@ -89,12 +88,6 @@ def _batch_info(plan: Plan) -> tuple | None:
     The derivation runs once per plan; codes, capture steps and
     charges depend only on the plan's template, so plans bound from
     one template share them.
-
-    Thread safety: the memo is a pure derivation of the frozen plan,
-    stored with a single atomic ``object.__setattr__`` -- two worker
-    threads racing here compute the identical tuple and one write
-    wins, so no lock is needed (same contract as
-    :meth:`MwsExecutor.estimate_latency_us`'s memo).
     """
     cached = plan.__dict__.get("_batch_info", False)
     if cached is not False:
@@ -148,13 +141,6 @@ class MwsExecutor:
         #: engine reads deltas of this, so the count stays truthful
         #: even when ``execute_batch`` falls back to the scalar loop.
         self.dispatches = 0
-        #: Chip-confinement token for concurrent dispatch: whoever
-        #: drains this executor from a worker thread must hold this
-        #: lock for the whole drain (``QueryEngine.execute_tasks``
-        #: does), so chip state -- latches, counters, plane array,
-        #: dispatch counter -- only ever sees one thread at a time
-        #: even when several services execute over one SSD.
-        self.lock = threading.Lock()
         #: Window-identity layout memo: (infos, (commands, sense_base,
         #: lane_groups)) of the last window.  One window deep, like
         #: ``_window_memo``: repeats of the last window are the steady
@@ -644,10 +630,7 @@ class MwsExecutor:
         ``TimingModel`` instance that asked -- one per chip executor,
         since a template binds plans on every chip -- so swapping in a
         differently parameterized model recomputes instead of serving
-        a stale value.  Like ``_batch_info``, the memo is a pure
-        derivation stored with one atomic ``__setattr__`` -- racing
-        threads at worst drop each other's pair and recompute it, so
-        it needs no lock.
+        a stale value.
         """
         owner = plan.__dict__.get("_template", plan)
         memo = owner.__dict__.get("_est_latency_us", ())

@@ -17,11 +17,9 @@ erase succeeds; reliability work needs the opposite.  A
 
 Determinism is the load-bearing property: every random draw comes from
 a per-chip ``np.random.default_rng((seed, chip))`` stream, and the
-query engine only draws inside the owning chip's drain (under the
-executor lock).  The draw sequence per chip is therefore a pure
-function of that chip's attempt sequence -- identical at any worker
-count, which is what lets the chaos property suites compare runs at
-``workers=1`` and ``workers=4`` bit for bit.
+query engine only draws inside the owning chip's drain.  The draw
+sequence per chip is therefore a pure function of that chip's attempt
+sequence, whatever order the chips drain in.
 
 An injector whose every rate is zero and whose bad-block set is empty
 is *inactive* (:attr:`FaultInjector.active` is ``False``): the chip and
@@ -80,10 +78,8 @@ class FaultConfig:
 class FaultInjector:
     """Draws fault decisions from per-chip deterministic streams.
 
-    Thread-safety contract: a chip's draws happen only inside that
-    chip's drain (one worker per chip per window), so per-chip RNG
-    state and per-chip counters need no locks.  Cross-chip totals are
-    computed by summation at read time.
+    A chip's draws happen only inside that chip's drain; cross-chip
+    totals are computed by summation at read time.
     """
 
     _COUNTER_KEYS = (

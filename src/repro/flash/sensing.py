@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -195,12 +194,7 @@ class SensingEngine:
         self._pristine_read_ref: dict[float, float] = {}
         #: wordline tuple -> sorted row-index array (reused across
         #: senses instead of re-sorting/re-allocating per call).
-        #: Lookups are lock-free (atomic dict.get, immutable entries);
-        #: the bounded evict+insert serializes on ``_rows_lock`` so
-        #: concurrent per-chip dispatch cannot interleave a clear with
-        #: a partial insert.
         self._rows_cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._rows_lock = threading.Lock()
         #: (condition, esp_extra, block P/E, block sigma multiplier) ->
         #: resolved per-unit stress scalars for the batched error
         #: plane.  The effective condition is derived purely from that
@@ -222,10 +216,9 @@ class SensingEngine:
         if rows is None:
             rows = np.array(sorted(wordlines))
             rows.setflags(write=False)
-            with self._rows_lock:
-                if len(self._rows_cache) >= 4096:
-                    self._rows_cache.clear()
-                self._rows_cache[wordlines] = rows
+            if len(self._rows_cache) >= 4096:
+                self._rows_cache.clear()
+            self._rows_cache[wordlines] = rows
         return rows
 
     @staticmethod

@@ -40,6 +40,7 @@ from repro.ssd.events import (
     StageJob,
     simulate_stages,
 )
+from repro.ssd.ftl import UnknownVectorError
 from repro.ssd.maintenance import MaintenanceConfig, MaintenanceManager
 from repro.ssd.query_engine import ChunkTask
 
@@ -157,11 +158,13 @@ class _QueryState:
         "reconstruction_us",
     )
 
-    def __init__(self, submission, prepared) -> None:
+    def __init__(
+        self, submission, n_bits=0, template_hit=False, n_chunks=0
+    ) -> None:
         self.submission = submission
-        self.n_bits = prepared.n_bits
-        self.template_hit = prepared.template_hit
-        self.pieces: list[np.ndarray | None] = [None] * prepared.n_chunks
+        self.n_bits = n_bits
+        self.template_hit = template_hit
+        self.pieces: list[np.ndarray | None] = [None] * n_chunks
         self.n_senses = 0
         self.energy_nj = 0.0
         self.chip_busy: dict[int, float] = {}
@@ -206,12 +209,6 @@ class QueryService:
         Let the admission controller retune ``window_us`` to the
         observed arrival rate (see
         :class:`~repro.service.admission.AdmissionQueue`).
-
-    ``workers``
-        Drain each window's per-chip queues concurrently on the
-        engine's shared thread pool (``1`` = the exact sequential
-        drain, the default).  Outcomes and counters are bit-/float-
-        identical at any worker count; only wall-clock changes.
 
     ``preemption`` (+ ``suspend_cost_us`` / ``resume_cost_us`` /
     ``max_suspends``)
@@ -276,7 +273,6 @@ class QueryService:
         min_window_us: float | None = None,
         max_window_us: float | None = None,
         target_window_queries: int = 8,
-        workers: int = 1,
         preemption: bool = False,
         suspend_cost_us: float = 0.0,
         resume_cost_us: float = 0.0,
@@ -291,8 +287,6 @@ class QueryService:
             raise ValueError(
                 f"unknown policy {policy!r}; choose from {POLICIES}"
             )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.ssd = ssd
         self.engine = ssd.engine
         #: Retry/backoff/degradation policy for fault recovery.  An
@@ -307,7 +301,6 @@ class QueryService:
         self.health = ChipHealthTracker(len(ssd.chips), config=health)
         self.policy = policy
         self.share_senses = share_senses
-        self.workers = int(workers)
         #: Arbitration config the event replay runs under; ``None``
         #: keeps the exact FCFS sweep (the measured baseline).
         self.arbitration: ArbitrationConfig | None = (
@@ -427,7 +420,10 @@ class QueryService:
         Windows execute in close order; every window's chunk jobs
         enter one shared event simulation with ``ready_at`` equal to
         the window close time, so cross-window contention (a window
-        queuing behind the previous one's stragglers) is exact.
+        queuing behind the previous one's stragglers) is exact.  A
+        query whose operand was deleted after :meth:`submit` fails
+        alone: its ``ServedQuery.error`` is the
+        :class:`~repro.ssd.ftl.UnknownVectorError`.
         """
         windows = self.admission.windows()
         states: dict[int, _QueryState] = {}
@@ -521,8 +517,24 @@ class QueryService:
             tasks: list[ChunkTask] = []
             info: dict[int, QueryInfo] = {}
             for submission in window.submissions:
-                prepared = self.engine.prepare(submission.expr)
-                state = _QueryState(submission, prepared)
+                try:
+                    prepared = self.engine.prepare(submission.expr)
+                except UnknownVectorError as error:
+                    # An operand deleted after submit: this query
+                    # fails at admission, the rest of the trace runs.
+                    state = states[submission.query_id] = _QueryState(
+                        submission
+                    )
+                    state.error = error
+                    state.admitted_us = window.close_us
+                    state.completed_us = window.close_us
+                    continue
+                state = _QueryState(
+                    submission,
+                    prepared.n_bits,
+                    prepared.template_hit,
+                    prepared.n_chunks,
+                )
                 state.admitted_us = window.close_us
                 states[submission.query_id] = state
                 info[submission.query_id] = self._query_info(submission)
@@ -544,7 +556,6 @@ class QueryService:
                 ordered,
                 share=self.share_senses,
                 use_cache=self.use_result_cache,
-                workers=self.workers,
                 recovery=recovery,
                 degraded=degraded_chips,
                 offline=offline_chips,

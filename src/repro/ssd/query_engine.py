@@ -62,21 +62,7 @@ it:
    to the per-sense scalar loop (the V_TH oracle), and
    ``batch=False`` forces it for benchmarking.
 
-7. **Concurrent multi-chip dispatch** -- chips are independent dies
-   behind independent channels, and the batched path reduced each
-   chip's queue to a handful of wide NumPy reduces that release the
-   GIL.  ``execute_tasks(..., workers=N)`` therefore drains the
-   per-chip queues *concurrently* on a shared thread pool: each
-   worker owns exactly one chip for the duration of the drain
-   (serialized by ``MwsExecutor.lock``, so chip state never sees two
-   threads), shared engine state -- the template/bound LRUs, the
-   stat counters, the :class:`ResultCache` -- is lock-protected, and
-   because each chip performs the identical operations in the
-   identical per-chip order regardless of interleaving, results,
-   latch end-state, and every per-chip counter are bit-/float-
-   identical to the sequential drain at any worker count.
-
-8. **Cross-window result caching** -- sense sharing only helps
+7. **Cross-window result caching** -- sense sharing only helps
    *within* one ``execute_tasks`` call; an identical query arriving
    in a later admission window re-senses from scratch.  A
    :class:`ResultCache` (opt-in,
@@ -104,9 +90,7 @@ surviving senses executed as per-chip vectorized batches.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -351,13 +335,6 @@ class ResultCache:
     through the stochastic V_TH plane, where memoizing a draw would
     change the error statistics, and the ``packed=False`` byte plane
     is the equivalence oracle and must keep executing.
-
-    Thread safety: the cache is shared by every drain of every engine
-    over one SSD, so all entry/epoch/counter mutation happens under an
-    internal lock -- concurrent per-chip workers
-    (:meth:`QueryEngine.execute_tasks` with ``workers > 1``) hit and
-    fill it safely.  The entries themselves are immutable (frozen
-    arrays), so a value observed under the lock stays valid after it.
     """
 
     def __init__(self, ssd: "SmallSsd", *, capacity: int = 4096) -> None:
@@ -374,7 +351,6 @@ class ResultCache:
         self._misses = 0
         self._invalidations = 0
         self._senses_avoided = 0
-        self._cache_lock = threading.Lock()
 
     def _stamp(self, chip: int) -> tuple:
         ssd = self.ssd
@@ -391,12 +367,10 @@ class ResultCache:
         epoch = {
             chip: self._stamp(chip) for chip in range(len(self.ssd.chips))
         }
-        with self._cache_lock:
-            self._epoch = epoch
+        self._epoch = epoch
 
     def _epoch_of(self, chip: int) -> tuple:
-        """The chip's snapshotted stamp (taken now if it has none);
-        called under the cache lock."""
+        """The chip's snapshotted stamp (taken now if it has none)."""
         epoch = self._epoch.get(chip)
         if epoch is None:
             epoch = self._epoch[chip] = self._stamp(chip)
@@ -406,21 +380,20 @@ class ResultCache:
         """The plan's memoized packed result words, or ``None`` when
         absent or stale (the stale entry is evicted)."""
         key = (chip, plan)
-        with self._cache_lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            stamp, words, n_senses = entry
-            if stamp != self._epoch_of(chip):
-                del self._entries[key]
-                self._invalidations += 1
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            self._senses_avoided += n_senses
-            return words
+        entry = self._entries.get(key)
+        if entry is None:
+            self._misses += 1
+            return None
+        stamp, words, n_senses = entry
+        if stamp != self._epoch_of(chip):
+            del self._entries[key]
+            self._invalidations += 1
+            self._misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self._hits += 1
+        self._senses_avoided += n_senses
+        return words
 
     def put(
         self, chip: int, plan: Plan, words: np.ndarray, n_senses: int
@@ -434,11 +407,10 @@ class ResultCache:
         """
         words.setflags(write=False)
         key = (chip, plan)
-        with self._cache_lock:
-            self._entries[key] = (self._epoch_of(chip), words, n_senses)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        self._entries[key] = (self._epoch_of(chip), words, n_senses)
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
     def prune_stale(self) -> int:
         """Bulk-drop every entry whose layout stamp no longer matches
@@ -455,46 +427,41 @@ class ResultCache:
             chip: self._stamp(chip)
             for chip in range(len(self.ssd.chips))
         }
-        with self._cache_lock:
-            dead = [
-                key
-                for key, (stamp, _, _) in self._entries.items()
-                if stamp != stamps[key[0]]
-            ]
-            for key in dead:
-                del self._entries[key]
-            self._invalidations += len(dead)
-            return len(dead)
+        dead = [
+            key
+            for key, (stamp, _, _) in self._entries.items()
+            if stamp != stamps[key[0]]
+        ]
+        for key in dead:
+            del self._entries[key]
+        self._invalidations += len(dead)
+        return len(dead)
 
     def resize(self, capacity: int) -> None:
         """Change the entry bound, evicting LRU entries when
         shrinking."""
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        with self._cache_lock:
-            self.capacity = capacity
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        self.capacity = capacity
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        with self._cache_lock:
-            self._entries.clear()
-            self._epoch.clear()
+        self._entries.clear()
+        self._epoch.clear()
 
     def __len__(self) -> int:
-        with self._cache_lock:
-            return len(self._entries)
+        return len(self._entries)
 
     @property
     def stats(self) -> CacheStats:
-        with self._cache_lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                invalidations=self._invalidations,
-                senses_avoided=self._senses_avoided,
-                entries=len(self._entries),
-            )
+        return CacheStats(
+            hits=self._hits,
+            misses=self._misses,
+            invalidations=self._invalidations,
+            senses_avoided=self._senses_avoided,
+            entries=len(self._entries),
+        )
 
 
 class StackCache:
@@ -541,10 +508,6 @@ class StackCache:
     stamp moved, or the chip stored ``capacity`` entries under the old
     one (clear-on-full, like the sensing row cache; default 4096) --
     drops the chip's memo at once.
-
-    Thread safety: a chip's token and entry count are only touched by
-    the drain that owns the chip (under ``MwsExecutor.lock``); the
-    outer chip map and counters take an internal lock.
     """
 
     def __init__(self, ssd: "SmallSsd", *, capacity: int = 4096) -> None:
@@ -558,7 +521,6 @@ class StackCache:
         self._hits = 0
         self._misses = 0
         self._invalidations = 0
-        self._lock = threading.Lock()
 
     def _stamp(self, chip: int) -> tuple:
         ssd = self.ssd
@@ -578,12 +540,11 @@ class StackCache:
         ``(results, reused_plan_count)`` or ``None`` when the window
         has no batched equivalent."""
         stamp = self._stamp(chip)
-        with self._lock:
-            state = self._chips.get(chip)
-            if state is None or state[0] != stamp:
-                if state is not None:
-                    self._invalidations += 1
-                state = self._chips[chip] = [stamp, object(), 0]
+        state = self._chips.get(chip)
+        if state is None or state[0] != stamp:
+            if state is not None:
+                self._invalidations += 1
+            state = self._chips[chip] = [stamp, object(), 0]
 
         def lookup(plan):
             entry = plan.__dict__.get("_stack_rows")
@@ -604,32 +565,28 @@ class StackCache:
         if outcome is None:
             return None
         results, reused = outcome
-        with self._lock:
-            self._hits += reused
-            self._misses += len(plans) - reused
+        self._hits += reused
+        self._misses += len(plans) - reused
         return results, reused
 
     def entries(self, chip: int) -> int:
         """Entries stored under the chip's current token (test/
         introspection hook; some may have died with their plans)."""
-        with self._lock:
-            state = self._chips.get(chip)
-            return 0 if state is None else state[2]
+        state = self._chips.get(chip)
+        return 0 if state is None else state[2]
 
     def clear(self) -> None:
-        with self._lock:
-            self._chips.clear()
+        self._chips.clear()
 
     @property
     def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                invalidations=self._invalidations,
-                senses_avoided=0,
-                entries=sum(state[2] for state in self._chips.values()),
-            )
+        return CacheStats(
+            hits=self._hits,
+            misses=self._misses,
+            invalidations=self._invalidations,
+            senses_avoided=0,
+            entries=sum(state[2] for state in self._chips.values()),
+        )
 
 
 @dataclass(frozen=True)
@@ -677,24 +634,11 @@ class QueryEngine:
         *,
         cache_size: int = 64,
         config: SsdConfig | None = None,
-        workers: int | None = None,
     ) -> None:
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
         self.ssd = ssd
         self.cache_size = cache_size
-        #: Default worker count for :meth:`execute_tasks`; 1 keeps the
-        #: exact sequential drain (and is the default -- concurrency is
-        #: opt-in per engine or per call).
-        self.workers = 1 if workers is None else max(1, int(workers))
-        #: Guards the engine's shared mutable state -- the template and
-        #: bound-plan LRUs, the stat counters, the stage-constant memo
-        #: -- against concurrent drains.  An RLock: locked sections
-        #: call helpers that lock again (e.g. a bind fallback bumping
-        #: planner counters).
-        self._lock = threading.RLock()
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_size = 0
         #: Timing/bandwidth parameters for the pipelined makespan; the
         #: functional chips are tiny, so the event simulation scales
         #: their measured sense times with configured bus bandwidths.
@@ -773,26 +717,23 @@ class QueryEngine:
         if not names:
             raise ValueError("expression references no operands")
         key = (expr, self._layout_signature(names))
-        with self._lock:
-            cached = self._templates.get(key)
-            if cached is not None:
-                self._templates.move_to_end(key)
-                self._template_hits += 1
-                return cached, False
-            self._template_misses += 1
-            controller = self.ssd.controllers[
-                self.ssd.ftl.chip_of_chunk(0)
-            ]
-            planner = Planner(
-                _ChunkDirectory(controller, 0),
-                block_limit=controller.planner.block_limit,
-            )
-            template = planner.plan_template(expr)
-            self._planner_invocations += 1
-            self._templates[key] = template
-            while len(self._templates) > self.cache_size:
-                self._templates.popitem(last=False)
-            return template, True
+        cached = self._templates.get(key)
+        if cached is not None:
+            self._templates.move_to_end(key)
+            self._template_hits += 1
+            return cached, False
+        self._template_misses += 1
+        controller = self.ssd.controllers[self.ssd.ftl.chip_of_chunk(0)]
+        planner = Planner(
+            _ChunkDirectory(controller, 0),
+            block_limit=controller.planner.block_limit,
+        )
+        template = planner.plan_template(expr)
+        self._planner_invocations += 1
+        self._templates[key] = template
+        while len(self._templates) > self.cache_size:
+            self._templates.popitem(last=False)
+        return template, True
 
     def enable_result_cache(
         self, capacity: int | None = None
@@ -822,21 +763,20 @@ class QueryEngine:
 
     @property
     def stats(self) -> EngineStats:
-        with self._lock:
-            return EngineStats(
-                planner_invocations=self._planner_invocations,
-                template_hits=self._template_hits,
-                template_misses=self._template_misses,
-                bind_fallbacks=self._bind_fallbacks,
-                cached_templates=len(self._templates),
-                shared_plans=self._shared_plans,
-                shared_senses=self._shared_senses,
-                executor_dispatches=self._executor_dispatches,
-                reconstructed_plans=self._reconstructed_plans,
-                reconstruction_senses=self._reconstruction_senses,
-                stack_reuse_hits=self._stack_reuse_hits,
-                restacked_tensors=self._restacked_tensors,
-            )
+        return EngineStats(
+            planner_invocations=self._planner_invocations,
+            template_hits=self._template_hits,
+            template_misses=self._template_misses,
+            bind_fallbacks=self._bind_fallbacks,
+            cached_templates=len(self._templates),
+            shared_plans=self._shared_plans,
+            shared_senses=self._shared_senses,
+            executor_dispatches=self._executor_dispatches,
+            reconstructed_plans=self._reconstructed_plans,
+            reconstruction_senses=self._reconstruction_senses,
+            stack_reuse_hits=self._stack_reuse_hits,
+            restacked_tensors=self._restacked_tensors,
+        )
 
     # ------------------------------------------------------------------
     # Execution
@@ -876,32 +816,31 @@ class QueryEngine:
             names = sorted(operand_names(expr))
         key = (expr, self._layout_signature(names), n_chunks)
         generation = self._layout_generation()
-        with self._lock:
-            cached = self._bound.get(key)
-            if cached is not None and cached[0] == generation:
-                self._bound.move_to_end(key)
-                return cached[1], False
-            planned = False
-            queues: dict[int, list[tuple[int, Plan]]] = {}
-            for chunk in range(n_chunks):
-                chip = self.ssd.ftl.chip_of_chunk(chunk)
-                controller = self.ssd.controllers[chip]
-                view = _ChunkDirectory(controller, chunk)
-                try:
-                    plan = template.bind(view)
-                except TemplateBindError:
-                    planner = Planner(
-                        view, block_limit=controller.planner.block_limit
-                    )
-                    plan = planner.plan(expr)
-                    self._planner_invocations += 1
-                    self._bind_fallbacks += 1
-                    planned = True
-                queues.setdefault(chip, []).append((chunk, plan))
-            self._bound[key] = (generation, queues)
-            while len(self._bound) > self.cache_size:
-                self._bound.popitem(last=False)
-            return queues, planned
+        cached = self._bound.get(key)
+        if cached is not None and cached[0] == generation:
+            self._bound.move_to_end(key)
+            return cached[1], False
+        planned = False
+        queues: dict[int, list[tuple[int, Plan]]] = {}
+        for chunk in range(n_chunks):
+            chip = self.ssd.ftl.chip_of_chunk(chunk)
+            controller = self.ssd.controllers[chip]
+            view = _ChunkDirectory(controller, chunk)
+            try:
+                plan = template.bind(view)
+            except TemplateBindError:
+                planner = Planner(
+                    view, block_limit=controller.planner.block_limit
+                )
+                plan = planner.plan(expr)
+                self._planner_invocations += 1
+                self._bind_fallbacks += 1
+                planned = True
+            queues.setdefault(chip, []).append((chunk, plan))
+        self._bound[key] = (generation, queues)
+        while len(self._bound) > self.cache_size:
+            self._bound.popitem(last=False)
+        return queues, planned
 
     def prepare(self, expr: Expression) -> PreparedQuery:
         """Plan (or fetch) and bind ``expr`` without executing it.
@@ -987,20 +926,6 @@ class QueryEngine:
             fault_delay_us * 1e-6,
         )
 
-    def _drain_pool(self, size: int) -> ThreadPoolExecutor:
-        """The shared per-chip drain pool, (re)built when the worker
-        count changes.  Reused across windows: pool construction costs
-        more than a small window's worth of NumPy reduces."""
-        with self._lock:
-            if self._pool is None or self._pool_size != size:
-                if self._pool is not None:
-                    self._pool.shutdown(wait=True)
-                self._pool = ThreadPoolExecutor(
-                    max_workers=size, thread_name_prefix="repro-chip"
-                )
-                self._pool_size = size
-            return self._pool
-
     def _execute_recovered(
         self,
         executor,
@@ -1016,8 +941,7 @@ class QueryEngine:
         while ``recovery_us`` holds the controller-side backoff and
         injected stalls (charged to the event simulation, not the
         chip).  All fault draws come from the chip's own
-        deterministic stream and happen inside this chip's drain, so
-        the sequence is identical at any worker count.
+        deterministic stream.
         """
         chip, plan = task.chip, task.plan
         counters = executor.chip.counters
@@ -1105,7 +1029,6 @@ class QueryEngine:
         share: bool = True,
         batch: bool = True,
         use_cache: bool = False,
-        workers: int | None = None,
         recovery: RecoveryPolicy | None = None,
         degraded: Iterable[int] = (),
         offline: Iterable[int] = (),
@@ -1146,18 +1069,6 @@ class QueryEngine:
         caching and sharing only change *where* a result comes from,
         never its bits.
 
-        With ``workers > 1`` (per call, or the engine's default) and
-        more than one chip in the task list, the per-chip drains run
-        *concurrently* on a shared thread pool -- chips are
-        independent dies, and the batched path's NumPy reduces release
-        the GIL.  Each drain holds its chip's
-        :attr:`~repro.core.mws.MwsExecutor.lock` end to end, so a chip
-        never sees two threads; engine counters merge under the engine
-        lock after each drain; and because every chip still executes
-        the identical plan sequence in the identical order, outcomes,
-        latch end-state, and all per-chip counters are bit-/float-
-        identical to the sequential drain at any worker count.
-
         The last three parameters form the fault-recovery plane (see
         :mod:`repro.flash.faults`).  With ``recovery`` set *and* an
         active injector attached to the SSD, each unique plan executes
@@ -1176,15 +1087,14 @@ class QueryEngine:
         batched drain as ever, float for float.
 
         With ``reconstruct`` on and parity striping enabled on the
-        SSD, a second pass runs after every drain has joined: tasks
+        SSD, a second pass runs after every chip has drained: tasks
         that failed with :class:`ChipUnavailableError` or
         :class:`RetryExhaustedError` get their operand chunks rebuilt
         by XOR of surviving peers and parity, the expression is
         re-evaluated host-side, and the outcome comes back
         ``reconstructed`` with the survivor chips' real sense time in
-        ``recovery_work``.  The pass is strictly sequential in task
-        order regardless of ``workers``, so reconstruction keeps the
-        engine's any-worker-count determinism.  Without failures (or
+        ``recovery_work``.  The pass walks the tasks in order, so
+        reconstruction is deterministic.  Without failures (or
         with parity off) it is a no-op -- the fault-free window stays
         float-identical.
         """
@@ -1219,11 +1129,7 @@ class QueryEngine:
         outcomes: list[ChunkOutcome | None] = [None] * len(order)
         outcome = ChunkOutcome  # local binding: window hot loop
 
-        def drain(chip: int, positions: list[int]) -> None:
-            # One worker owns this chip for the whole drain; distinct
-            # drains write disjoint `outcomes` slots, so the list
-            # needs no lock.  Engine stat counters accumulate locally
-            # and merge once at the end under the engine lock.
+        for chip, positions in per_chip.items():
             if chip in offline_chips or getattr(
                 self.ssd.chips[chip], "offline", False
             ):
@@ -1239,169 +1145,130 @@ class QueryEngine:
                             f"chip {chip} is quarantined", chip=chip
                         ),
                     )
-                return
+                continue
             executor = self.ssd.controllers[chip].executor
             sensing = self.ssd.chips[chip].sensing
             chip_degraded = chip in degraded_chips
             recover = recovery is not None or chip_degraded
-            shared_plans = 0
-            shared_senses = 0
-            reuse_hits = 0
-            with executor.lock:
-                pending = positions
-                # Cross-window cache first: a hit never reaches dedup
-                # or the executor, so a fully repeated window costs no
-                # flash work and no executor dispatch.
-                if cache is not None:
-                    pending = []
-                    for position in positions:
-                        task = order[position]
-                        words = cache.get(chip, task.plan)
-                        if words is not None:
-                            outcomes[position] = outcome(
-                                task, words, 0, 0.0, 0.0, False, True
-                            )
-                        else:
-                            pending.append(position)
-                    if not pending:
-                        return
-                # Dedup next: unique plans in first-appearance order,
-                # subscribers remembered by their executing position.
-                unique: list[int] = []
-                followers: list[tuple[int, int]] = []
-                first_at: dict[Plan, int] = {}
-                if share:
-                    for position in pending:
-                        plan = order[position].plan
-                        first = first_at.get(plan)
-                        if first is not None:
-                            followers.append((position, first))
-                        else:
-                            first_at[plan] = position
-                            unique.append(position)
-                else:
-                    unique = pending
-                dispatched_before = executor.dispatches
-                restacked_before = sensing.restacked_tensors
-                if recover:
-                    # Fault recovery needs per-plan draws and retries,
-                    # so the queue runs scalar through the policy --
-                    # except the health-degraded margin-read path,
-                    # which draws nothing and batches through the
-                    # V_TH plane when possible (None falls back to
-                    # the scalar loop: bad blocks, MLC, cross-plane
-                    # XOR, unpacked chips).
-                    policy = (
-                        recovery
-                        if recovery is not None
-                        else RecoveryPolicy()
+            pending = positions
+            # Cross-window cache first: a hit never reaches dedup or
+            # the executor, so a fully repeated window costs no flash
+            # work and no executor dispatch.
+            if cache is not None:
+                pending = []
+                for position in positions:
+                    task = order[position]
+                    words = cache.get(chip, task.plan)
+                    if words is not None:
+                        outcomes[position] = outcome(
+                            task, words, 0, 0.0, 0.0, False, True
+                        )
+                    else:
+                        pending.append(position)
+                if not pending:
+                    continue
+            # Dedup next: unique plans in first-appearance order,
+            # subscribers remembered by their executing position.
+            unique: list[int] = []
+            followers: list[tuple[int, int]] = []
+            first_at: dict[Plan, int] = {}
+            if share:
+                for position in pending:
+                    plan = order[position].plan
+                    first = first_at.get(plan)
+                    if first is not None:
+                        followers.append((position, first))
+                    else:
+                        first_at[plan] = position
+                        unique.append(position)
+            else:
+                unique = pending
+            dispatched_before = executor.dispatches
+            restacked_before = sensing.restacked_tensors
+            if recover:
+                # Fault recovery needs per-plan draws and retries, so
+                # the queue runs scalar through the policy -- except
+                # the health-degraded margin-read path, which draws
+                # nothing and batches through the V_TH plane when
+                # possible (None falls back to the scalar loop: bad
+                # blocks, MLC, cross-plane XOR, unpacked chips).
+                policy = (
+                    recovery if recovery is not None else RecoveryPolicy()
+                )
+                batched = None
+                if chip_degraded and batch:
+                    batched = executor.execute_degraded_batch(
+                        [order[p].plan for p in unique],
+                        extra_senses=policy.degraded_extra_senses,
                     )
-                    batched = None
-                    if chip_degraded and batch:
-                        batched = executor.execute_degraded_batch(
-                            [order[p].plan for p in unique],
-                            extra_senses=policy.degraded_extra_senses,
-                        )
-                    if batched is not None:
-                        for position, result in zip(unique, batched):
-                            task = order[position]
-                            data = (
-                                result.words if packed else result.bits
-                            )
-                            outcomes[position] = outcome(
-                                task, data, result.n_senses,
-                                result.latency_us, result.energy_nj,
-                                False, degraded=True,
-                            )
-                            if cache is not None:
-                                cache.put(
-                                    chip, task.plan, data, result.n_senses
-                                )
-                        unique = []
-                    for position in unique:
-                        task = order[position]
-                        done = outcomes[position] = self._execute_recovered(
-                            executor, task, injector, policy, chip_degraded
-                        )
-                        if (
-                            cache is not None
-                            and done.error is None
-                            and done.data is not None
-                        ):
-                            cache.put(
-                                chip, task.plan, done.data, done.n_senses
-                            )
-                else:
-                    queue = [
-                        order[position].plan for position in unique
-                    ]
-                    results = None
-                    if batch and stacks is not None and queue:
-                        # Cross-window stack reuse: plans already
-                        # sensed under the current stamp replay their
-                        # packed rows; only the miss plans reach the
-                        # flash.  Latch replay and charging still run
-                        # for the whole queue, so outcomes and
-                        # counters stay identical to a fresh batch.
-                        reused = stacks.execute(executor, chip, queue)
-                        if reused is not None:
-                            results, reuse_hits = reused
-                    if results is None:
-                        if batch:
-                            results = executor.execute_batch(queue)
-                        else:
-                            results = [
-                                executor.execute(plan)
-                                for plan in queue
-                            ]
-                    for position, result in zip(unique, results):
+                if batched is not None:
+                    for position, result in zip(unique, batched):
                         task = order[position]
                         data = result.words if packed else result.bits
                         outcomes[position] = outcome(
                             task, data, result.n_senses,
-                            result.latency_us, result.energy_nj, False,
+                            result.latency_us, result.energy_nj,
+                            False, degraded=True,
                         )
                         if cache is not None:
                             cache.put(chip, task.plan, data, result.n_senses)
-                # The executor reports its own dispatch count, so the
-                # stat stays truthful when execute_batch falls back to
-                # the per-sense loop (unpacked plane, error injection).
-                dispatches = executor.dispatches - dispatched_before
-                restacked = (
-                    sensing.restacked_tensors - restacked_before
-                )
-                shared_plans = len(followers)
-                for position, first in followers:
-                    prior = outcomes[first]
-                    shared_senses += prior.n_senses
-                    outcomes[position] = outcome(
-                        order[position], prior.data, 0, 0.0, 0.0, True,
-                        False, 0, 0.0, prior.degraded, prior.error,
+                    unique = []
+                for position in unique:
+                    task = order[position]
+                    done = outcomes[position] = self._execute_recovered(
+                        executor, task, injector, policy, chip_degraded
                     )
-            with self._lock:
-                self._executor_dispatches += dispatches
-                self._shared_plans += shared_plans
-                self._shared_senses += shared_senses
-                self._stack_reuse_hits += reuse_hits
-                self._restacked_tensors += restacked
-
-        n_workers = self.workers if workers is None else max(1, workers)
-        if n_workers > 1 and len(per_chip) > 1:
-            pool = self._drain_pool(n_workers)
-            futures = [
-                pool.submit(drain, chip, positions)
-                for chip, positions in per_chip.items()
-            ]
-            errors = []
-            for future in futures:
-                error = future.exception()
-                if error is not None:
-                    errors.append(error)
-            if errors:
-                raise errors[0]
-        else:
-            for chip, positions in per_chip.items():
-                drain(chip, positions)
+                    if (
+                        cache is not None
+                        and done.error is None
+                        and done.data is not None
+                    ):
+                        cache.put(chip, task.plan, done.data, done.n_senses)
+            else:
+                queue = [order[position].plan for position in unique]
+                results = None
+                if batch and stacks is not None and queue:
+                    # Cross-window stack reuse: plans already sensed
+                    # under the current stamp replay their packed
+                    # rows; only the miss plans reach the flash.
+                    # Latch replay and charging still run for the
+                    # whole queue, so outcomes and counters stay
+                    # identical to a fresh batch.
+                    reused = stacks.execute(executor, chip, queue)
+                    if reused is not None:
+                        results, reuse_hits = reused
+                        self._stack_reuse_hits += reuse_hits
+                if results is None:
+                    if batch:
+                        results = executor.execute_batch(queue)
+                    else:
+                        results = [executor.execute(plan) for plan in queue]
+                for position, result in zip(unique, results):
+                    task = order[position]
+                    data = result.words if packed else result.bits
+                    outcomes[position] = outcome(
+                        task, data, result.n_senses,
+                        result.latency_us, result.energy_nj, False,
+                    )
+                    if cache is not None:
+                        cache.put(chip, task.plan, data, result.n_senses)
+            # The executor reports its own dispatch count, so the stat
+            # stays truthful when execute_batch falls back to the
+            # per-sense loop (unpacked plane, error injection).
+            self._executor_dispatches += (
+                executor.dispatches - dispatched_before
+            )
+            self._restacked_tensors += (
+                sensing.restacked_tensors - restacked_before
+            )
+            self._shared_plans += len(followers)
+            for position, first in followers:
+                prior = outcomes[first]
+                self._shared_senses += prior.n_senses
+                outcomes[position] = outcome(
+                    order[position], prior.data, 0, 0.0, 0.0, True,
+                    False, 0, 0.0, prior.degraded, prior.error,
+                )
         if reconstruct and getattr(self.ssd, "parity", False):
             self._reconstruct_failures(order, outcomes, cache)
         return outcomes
@@ -1512,9 +1379,8 @@ class QueryEngine:
                 # chip its directory generation bump drops the entry.
                 cache.put(task.chip, task.plan, data, n_senses)
         if reconstructed:
-            with self._lock:
-                self._reconstructed_plans += reconstructed
-                self._reconstruction_senses += senses
+            self._reconstructed_plans += reconstructed
+            self._reconstruction_senses += senses
 
     def assemble_bits(
         self, prepared: PreparedQuery, pieces: list[np.ndarray | None]

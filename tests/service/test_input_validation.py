@@ -78,11 +78,32 @@ class TestSubmit:
         assert report.stats.n_deadlines == 1
         assert report.stats.deadlines_met == 1
 
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_rejected(self, workers):
-        ssd, _ = make_ssd()
-        with pytest.raises(ValueError, match="workers"):
-            ssd.service(workers=workers)
+
+class TestRun:
+    def test_vector_deleted_after_submit_fails_only_its_query(self):
+        ssd, env = make_ssd()
+        service = ssd.service()
+        first = And(Operand("a"), Operand("b"))
+        doomed = And(Operand("a"), Operand("c"))
+        last = Operand("b")
+        ids = [
+            service.submit(expr, at_us=float(i))
+            for i, expr in enumerate((first, doomed, last))
+        ]
+        ssd.delete_vector("c")
+        report = service.run()
+        assert [q.query_id for q in report.queries] == ids
+        ok_first, failed, ok_last = report.queries
+        assert isinstance(failed.error, UnknownVectorError)
+        assert failed.result.bits.size == 0
+        assert failed.latency_us >= 0.0
+        for served, expr in ((ok_first, first), (ok_last, last)):
+            assert served.error is None
+            np.testing.assert_array_equal(
+                served.result.bits, evaluate(expr, env)
+            )
+        assert report.stats.queries_failed == 1
+        assert report.stats.failure_rate == pytest.approx(1 / 3)
 
 
 class TestWriteVector:

@@ -176,27 +176,3 @@ class TestJobDirectives:
         assert deadline_s is None
         assert preemptible is True
 
-
-class TestConcurrentServiceSmoke:
-    def test_workers_do_not_change_service_results(self):
-        """A service configured with workers > 1 serves bit-identical
-        results and identical virtual-clock stats."""
-
-        def run(workers):
-            ssd, env = make_ssd(seed=3)
-            svc = QueryService(
-                ssd, policy="edf", window_us=10.0, workers=workers
-            )
-            _submit_collision(svc)
-            return svc.run(), env
-
-        base, env = run(1)
-        multi, _ = run(4)
-        assert len(base.queries) == len(multi.queries)
-        for a, b in zip(base.queries, multi.queries):
-            np.testing.assert_array_equal(a.result.bits, b.result.bits)
-            assert a.completed_us == b.completed_us
-            assert a.result.latency_us == b.result.latency_us
-            assert a.result.energy_nj == b.result.energy_nj
-        assert base.stats.makespan_us == multi.stats.makespan_us
-        assert base.stats.n_senses == multi.stats.n_senses

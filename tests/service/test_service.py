@@ -347,21 +347,22 @@ class TestQueryService:
         assert service.run().queries == ()
 
     def test_failed_run_preserves_submissions(self):
-        """An exception mid-run (e.g. an operand deleted after its
-        query was admitted) must not discard the pending submissions:
-        fixing the cause and retrying serves them all."""
+        """An exception mid-run (e.g. an operand rewritten at another
+        length after its query was admitted) must not discard the
+        pending submissions: fixing the cause and retrying serves them
+        all."""
         ssd, env = make_ssd()
         service = ssd.service()
         good = And(Operand("a"), Operand("b"))
-        ssd.write_vector("missing", np.zeros_like(env["a"]), group="fix")
+        ssd.write_vector("fix", np.zeros_like(env["a"]), group="g")
         service.submit(good, at_us=0.0)
-        service.submit(Operand("missing"), at_us=1.0)
-        ssd.delete_vector("missing")
-        with pytest.raises(KeyError):
+        service.submit(And(Operand("a"), Operand("fix")), at_us=1.0)
+        ssd.delete_vector("fix")
+        ssd.write_vector("fix", np.zeros(64, dtype=np.uint8), group="g")
+        with pytest.raises(ValueError, match="mismatched lengths"):
             service.run()
-        ssd.write_vector(
-            "missing", np.zeros_like(env["a"]), group="fix"
-        )
+        ssd.delete_vector("fix")
+        ssd.write_vector("fix", np.zeros_like(env["a"]), group="g")
         report = service.run()
         assert len(report.queries) == 2
         np.testing.assert_array_equal(

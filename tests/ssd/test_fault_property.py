@@ -4,7 +4,7 @@ The contract under test (see :mod:`repro.flash.faults`):
 
 * **Injection off is free** -- an SSD carrying an *inactive* injector
   is float-exact (outcomes, counters, chip state) against a
-  no-injector twin at any worker count.
+  no-injector twin.
 * **Completed means correct** -- under any injected fault schedule,
   every chunk outcome that reports no error carries data bit-identical
   to the NumPy oracle, whether it was recovered by retry or re-executed
@@ -14,8 +14,7 @@ The contract under test (see :mod:`repro.flash.faults`):
   :class:`~repro.flash.errors.FlashFault` hierarchy, never bare
   ``RuntimeError``.
 * **Determinism** -- the injector draws from per-chip seeded streams,
-  so identical schedules replay identically regardless of the worker
-  count.
+  so identical schedules replay identically.
 """
 
 import numpy as np
@@ -33,6 +32,10 @@ from repro.flash.faults import FaultConfig, FaultInjector, RecoveryPolicy
 from repro.flash.geometry import ChipGeometry, WordlineAddress
 from repro.ssd.controller import SmallSsd
 from repro.ssd.events import StageJob, simulate_stages
+
+#: Case ids keep the ``<seed>-1`` form they had when a 4-worker twin of
+#: each case also ran, so a case's history stays under one name.
+SEQUENTIAL_IDS = "{}-1".format
 
 GEOMETRY = ChipGeometry(
     planes_per_die=1,
@@ -97,13 +100,13 @@ def _scenario(seed):
     )
 
 
-def _window_outcomes(ssd, window, *, workers=1, **kwargs):
+def _window_outcomes(ssd, window, **kwargs):
     tasks, prepared = [], []
     for query, expr in enumerate(window):
         p = ssd.engine.prepare(expr)
         prepared.append(p)
         tasks.extend(p.tasks(query=query))
-    outcomes = ssd.engine.execute_tasks(tasks, workers=workers, **kwargs)
+    outcomes = ssd.engine.execute_tasks(tasks, **kwargs)
     return outcomes, prepared
 
 
@@ -128,9 +131,8 @@ def _assert_outcomes_identical(lhs, rhs):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", (1, 4))
-@pytest.mark.parametrize("seed", range(5))
-def test_inactive_injector_float_exact_vs_no_injector(seed, workers):
+@pytest.mark.parametrize("seed", range(5), ids=SEQUENTIAL_IDS)
+def test_inactive_injector_float_exact_vs_no_injector(seed):
     s = _scenario(seed)
     bare_ssd, env = _build_one(
         s["data_seed"],
@@ -147,15 +149,12 @@ def test_inactive_injector_float_exact_vs_no_injector(seed, workers):
         ssd_seed=s["ssd_seed"],
         injector=idle,
     )
-    bare, _ = _window_outcomes(
-        bare_ssd, s["window"], workers=workers, share=s["share"]
-    )
+    bare, _ = _window_outcomes(bare_ssd, s["window"], share=s["share"])
     # Even an explicit recovery policy must not disturb the fast path
     # while the injector is inactive.
     twin, _ = _window_outcomes(
         twin_ssd,
         s["window"],
-        workers=workers,
         share=s["share"],
         recovery=RecoveryPolicy(),
     )
@@ -171,9 +170,8 @@ def test_inactive_injector_float_exact_vs_no_injector(seed, workers):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", (1, 4))
-@pytest.mark.parametrize("seed", range(8))
-def test_faulted_window_completed_chunks_match_oracle(seed, workers):
+@pytest.mark.parametrize("seed", range(8), ids=SEQUENTIAL_IDS)
+def test_faulted_window_completed_chunks_match_oracle(seed):
     s = _scenario(seed)
     injector = FaultInjector(
         FaultConfig(
@@ -192,7 +190,6 @@ def test_faulted_window_completed_chunks_match_oracle(seed, workers):
     outcomes, prepared = _window_outcomes(
         ssd,
         s["window"],
-        workers=workers,
         share=s["share"],
         recovery=RecoveryPolicy(),
     )
@@ -236,8 +233,7 @@ def test_retry_exhaustion_surfaces_typed_error(seed):
         assert "sense retry exhausted" in str(outcome.error)
 
 
-@pytest.mark.parametrize("workers", (1, 4))
-def test_offline_chips_fail_fast_with_typed_error(workers):
+def test_offline_chips_fail_fast_with_typed_error():
     s = _scenario(17)
     ssd, env = _build_one(
         s["data_seed"],
@@ -245,9 +241,7 @@ def test_offline_chips_fail_fast_with_typed_error(workers):
         n_bits=s["n_bits"],
         ssd_seed=s["ssd_seed"],
     )
-    outcomes, prepared = _window_outcomes(
-        ssd, s["window"], workers=workers, offline=[0]
-    )
+    outcomes, prepared = _window_outcomes(ssd, s["window"], offline=[0])
     for outcome in outcomes:
         if outcome.task.chip == 0:
             assert isinstance(outcome.error, ChipUnavailableError)
@@ -259,9 +253,8 @@ def test_offline_chips_fail_fast_with_typed_error(workers):
             assert outcome.data is not None
 
 
-@pytest.mark.parametrize("workers", (1, 4))
-@pytest.mark.parametrize("seed", range(4))
-def test_degraded_chips_serve_bit_identical_results(seed, workers):
+@pytest.mark.parametrize("seed", range(4), ids=SEQUENTIAL_IDS)
+def test_degraded_chips_serve_bit_identical_results(seed):
     s = _scenario(100 + seed)
     injector = FaultInjector(
         FaultConfig(seed=s["fault_seed"], sense_fault_rate=1.0)
@@ -278,7 +271,6 @@ def test_degraded_chips_serve_bit_identical_results(seed, workers):
     outcomes, prepared = _window_outcomes(
         ssd,
         s["window"],
-        workers=workers,
         recovery=RecoveryPolicy(),
         degraded=range(s["n_chips"]),
     )
@@ -300,10 +292,10 @@ def test_degraded_chips_serve_bit_identical_results(seed, workers):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_fault_schedule_replays_identically_across_workers(seed):
+def test_fault_schedule_replays_identically(seed):
     s = _scenario(200 + seed)
 
-    def run(workers):
+    def run():
         injector = FaultInjector(
             FaultConfig(
                 seed=s["fault_seed"],
@@ -321,16 +313,15 @@ def test_fault_schedule_replays_identically_across_workers(seed):
         outcomes, _ = _window_outcomes(
             ssd,
             s["window"],
-            workers=workers,
             share=s["share"],
             recovery=RecoveryPolicy(),
         )
         return outcomes, injector.counts()
 
-    seq, seq_counts = run(1)
-    par, par_counts = run(4)
-    _assert_outcomes_identical(seq, par)
-    assert seq_counts == par_counts
+    first, first_counts = run()
+    again, again_counts = run()
+    _assert_outcomes_identical(first, again)
+    assert first_counts == again_counts
 
 
 def test_injector_draws_are_seed_deterministic():

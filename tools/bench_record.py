@@ -12,8 +12,8 @@ batched V_TH error-plane kernel
 (``benchmarks/bench_error_batch.py``), the cross-window stack-reuse
 kernel (``benchmarks/bench_stack_reuse.py``), and
 the cross-window result-cache + SLO kernels
-(``benchmarks/bench_result_cache.py``), the concurrent-drain /
-preemptive-arbitration kernels (``benchmarks/bench_multicore.py``),
+(``benchmarks/bench_result_cache.py``), the preemptive-arbitration
+kernel (``benchmarks/bench_preemption.py``),
 the fault-tolerance retention kernel
 (``benchmarks/bench_fault_tolerance.py``), and the
 garbage-collection-under-churn kernel (``benchmarks/bench_gc.py``),
@@ -260,29 +260,6 @@ def _run_stack_reuse_bench() -> dict[str, float]:
     }
 
 
-def _run_multicore_bench() -> dict[str, float]:
-    """Run the concurrent-drain scaling kernel in-process.
-
-    Bit-identity across worker counts is asserted inside the bench;
-    ``scaling`` is wall-clock and machine-dependent (~1.0 on a
-    single-core runner, where threads cannot beat sequential), so
-    ``check`` only floors it when the recorded baseline itself showed
-    real scaling.
-    """
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    sys.path.insert(0, str(REPO_ROOT))
-    from benchmarks.bench_multicore import measure_multicore
-
-    m = measure_multicore()
-    return {
-        "workers": m["workers"],
-        "cpu_count": m["cpu_count"],
-        "serial_s": m["serial_s"],
-        "concurrent_s": m["concurrent_s"],
-        "scaling": m["scaling"],
-    }
-
-
 def _run_preemption_bench() -> dict[str, float]:
     """Run the preemption-benefit kernel in-process.
 
@@ -292,7 +269,7 @@ def _run_preemption_bench() -> dict[str, float]:
     """
     sys.path.insert(0, str(REPO_ROOT / "src"))
     sys.path.insert(0, str(REPO_ROOT))
-    from benchmarks.bench_multicore import measure_preemption
+    from benchmarks.bench_preemption import measure_preemption
 
     m = measure_preemption()
     return {
@@ -411,7 +388,6 @@ def measure() -> dict:
         "stack_reuse": _run_stack_reuse_bench(),
         "result_cache": _run_result_cache_bench(),
         "slo": _run_slo_bench(),
-        "multicore": _run_multicore_bench(),
         "preemption": _run_preemption_bench(),
         "faults": _run_faults_bench(),
         "gc": _run_gc_bench(),
@@ -598,19 +574,6 @@ def check(baseline_path: Path, tolerance: float) -> int:
                 f"< baseline {base_slo['edf_deadlines_met']}"
             )
 
-    base_mc = baseline.get("multicore", {})
-    fresh_mc = fresh["multicore"]
-    if base_mc.get("scaling", 0.0) > 1.0:
-        # Only gate scaling when the baseline machine actually scaled:
-        # a single-core baseline (~1.0x) would make any floor either
-        # meaningless or a false alarm on the next single-core run.
-        floor = base_mc["scaling"] / tolerance
-        if fresh_mc["scaling"] < floor:
-            failures.append(
-                f"multicore scaling: {fresh_mc['scaling']:.2f} < "
-                f"baseline {base_mc['scaling']:.2f} / {tolerance:.1f}"
-            )
-
     base_pre = baseline.get("preemption", {})
     fresh_pre = fresh["preemption"]
     if "preempt_deadlines_met" in base_pre:
@@ -730,7 +693,7 @@ def check(baseline_path: Path, tolerance: float) -> int:
         f"perf trajectory ok: {len(baseline.get('kernels', {}))} kernels, "
         f"packed-backend, service, batch-sense, packed-ECC, "
         f"error-batch, stack-reuse, result-cache, SLO, "
-        f"multicore, preemption, fault-tolerance, GC, and redundancy "
+        f"preemption, fault-tolerance, GC, and redundancy "
         f"metrics within {tolerance:.1f}x of baseline"
     )
     return 0
