@@ -17,9 +17,10 @@ twin SSDs -- ``batch=True`` vs ``batch=False`` -- and measures:
 
 * wall-clock speedup of the batched window (gated, >= 3x locally);
 * Python executor dispatches per window (chips vs unique plans);
-* bit-exactness against the ``packed=False`` V_TH-plane oracle and
-  float-identical latency/energy accounting (the batch path replays
-  the scalar charge sequence).
+* bit-exactness against the per-cell V_TH compare (the degraded-path
+  oracle of ``tests/oracles/vth.py``: ``execute_degraded_batch`` with
+  no margin-read ladder) and float-identical latency/energy
+  accounting (the batch path replays the scalar charge sequence).
 
 The ``measure_batch`` helper returns a plain dict so
 ``tools/bench_record.py`` snapshots ``batch_speedup`` and
@@ -41,6 +42,7 @@ from benchmarks.bench_service import (
     _loaded_ssd,
     _mixed_stream,
 )
+from tests.oracles.vth import vth_execute_tasks
 
 #: Required wall-clock speedup of the batched window.  Local/dev runs
 #: use the full 3x gate; noisy shared CI runners may relax it via the
@@ -76,7 +78,7 @@ def measure_batch() -> dict:
     # --- equivalence on fresh twins (counter bases identical) -------
     batch_ssd = _loaded_ssd()
     loop_ssd = _loaded_ssd()
-    oracle_ssd = _loaded_ssd(packed=False)
+    oracle_ssd = _loaded_ssd()
     batch_tasks, prepared = _window_tasks(batch_ssd, stream)
     loop_tasks, _ = _window_tasks(loop_ssd, stream)
     oracle_tasks, oracle_prepared = _window_tasks(oracle_ssd, stream)
@@ -93,9 +95,7 @@ def measure_batch() -> dict:
     )
     dispatches_loop = loop_ssd.engine.stats.executor_dispatches - d0
 
-    oracle_out = oracle_ssd.engine.execute_tasks(
-        oracle_tasks, share=True, batch=True  # falls back per-sense
-    )
+    oracle_out = vth_execute_tasks(oracle_ssd, oracle_tasks, share=True)
 
     for b, l, o in zip(batch_out, loop_out, oracle_out):
         # Simulated cost counters unchanged -- float-identical, the

@@ -1,12 +1,11 @@
 """Batched V_TH error plane vs the per-sense perturb/compare loop.
 
-PR 7 batched the packed *error-free* plane, but reliability work --
+The error-free batch reduces packed words, but reliability work --
 error-injecting SSDs, read-retry studies, the degraded fallback --
-still evaluated the V_TH comparison one sense at a time: slice the
-float32 V_TH matrix, draw Gaussian noise, perturb, compare, per
-target, per sense, per plan.  The batched error plane
-(``SensingEngine.sense_batch_vth`` under
-``MwsExecutor._execute_batch_vth``) runs the whole window's
+needs the V_TH comparison: slice the float32 V_TH matrix, draw
+Gaussian noise, perturb, compare, per target, per sense, per plan.
+The batched error plane (``SensingEngine.sense_batch_vth`` under
+``MwsExecutor.execute_degraded_batch``) runs the whole window's
 perturbation and compare grouped per stress condition, drawing one
 Gaussian block for the window split in the scalar loop's exact
 (sense, target) order -- so the corrupted bits are the *same* bits,

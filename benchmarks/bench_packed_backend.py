@@ -1,19 +1,23 @@
-"""Packed uint64 data plane vs the uint8/float path.
+"""Word reduce vs the per-cell V_TH compare, and packed memory.
 
 The seed's functional data plane spent one byte per logical bit and
 evaluated every error-free sense by slicing a float32 V_TH matrix and
 comparing per cell.  The packed backend keeps functional data as
-``uint64`` words end to end: senses reduce packed word rows, latches
-accumulate words, and the SSD query path moves packed buffers until
-the external result boundary.
+``uint64`` words end to end: error-free senses reduce packed word
+rows, latches accumulate words, and the SSD query path moves packed
+buffers until the external result boundary.
 
-This bench measures three things against the pre-packing path (kept
-alive behind ``packed=False`` for exactly this purpose and for the
-equivalence property suite):
+The V_TH compare is still there -- error-injecting chips and
+degraded-mode recovery (``force_vth``) sense through it -- so this
+bench times the word reduce against it *on the same chip*
+(``MwsExecutor.execute`` vs ``execute_degraded``, bit-identical on an
+error-free chip) and measures:
 
 * raw error-free MWS sensing throughput on paper-sized 16-KiB pages;
 * end-to-end functional ``SmallSsd.query`` latency on a 64-chunk
-  bitmap-index-style query;
+  bitmap-index-style query, against the same query's plans run
+  through the batched V_TH compare (``execute_degraded_batch`` via
+  ``tests/oracles/vth.py``);
 * resident cell-state memory per touched block.
 
 The measure_* helpers return plain dicts so ``tools/bench_record.py``
@@ -33,6 +37,7 @@ from repro.core.expressions import And, Operand, and_all, or_all
 from repro.flash.chip import NandFlashChip
 from repro.flash.geometry import ChipGeometry
 from repro.ssd.controller import SmallSsd
+from tests.oracles.vth import vth_query
 
 #: Required speedups.  Local/dev runs use the full 5x gate; noisy
 #: shared CI runners may relax it via the environment (bit-exact
@@ -74,10 +79,8 @@ def _time(fn, rounds: int) -> float:
     return best
 
 
-def _sense_setup(packed: bool):
-    chip = NandFlashChip(
-        SENSE_GEOMETRY, inject_errors=False, seed=3, packed=packed
-    )
+def _sense_setup():
+    chip = NandFlashChip(SENSE_GEOMETRY, inject_errors=False, seed=3)
     fc = FlashCosmos(chip)
     rng = np.random.default_rng(3)
     for i in range(N_SENSE_OPERANDS):
@@ -92,26 +95,27 @@ def _sense_setup(packed: bool):
 
 
 def measure_sense() -> dict:
-    """Raw error-free MWS sensing: packed word reduce vs V_TH compare."""
+    """Raw error-free MWS sensing: packed word reduce vs V_TH compare
+    (``force_vth``) of the same plan on the same chip."""
+    fc, plan = _sense_setup()
     results = {}
     bits = {}
-    for label, packed in (("packed", True), ("unpacked", False)):
-        fc, plan = _sense_setup(packed)
-        execute = fc.executor.execute
+    for label, execute in (
+        ("packed", fc.executor.execute),
+        ("vth", fc.executor.execute_degraded),
+    ):
         bits[label] = execute(plan).bits  # warm (materializes V_TH)
         results[label] = _time(lambda: execute(plan), rounds=7)
-    np.testing.assert_array_equal(bits["packed"], bits["unpacked"])
+    np.testing.assert_array_equal(bits["packed"], bits["vth"])
     return {
         "packed_s": results["packed"],
-        "unpacked_s": results["unpacked"],
-        "speedup": results["unpacked"] / results["packed"],
+        "vth_s": results["vth"],
+        "speedup": results["vth"] / results["packed"],
     }
 
 
-def _query_setup(packed: bool):
-    ssd = SmallSsd(
-        n_chips=4, geometry=QUERY_GEOMETRY, seed=1, packed=packed
-    )
+def _query_setup():
+    ssd = SmallSsd(n_chips=4, geometry=QUERY_GEOMETRY, seed=1)
     rng = np.random.default_rng(2)
     n_bits = N_CHUNKS * QUERY_GEOMETRY.page_size_bits
     for i in range(N_AND):
@@ -135,18 +139,22 @@ def _query_setup(packed: bool):
 
 
 def measure_query() -> dict:
-    """End-to-end functional 64-chunk ``SmallSsd.query``."""
+    """End-to-end functional 64-chunk ``SmallSsd.query`` vs the same
+    query through the V_TH compare on the same SSD."""
+    ssd, expr = _query_setup()
     results = {}
     bits = {}
-    for label, packed in (("packed", True), ("unpacked", False)):
-        ssd, expr = _query_setup(packed)
-        bits[label] = ssd.query(expr).bits  # warm template cache + V_TH
-        results[label] = _time(lambda: ssd.query(expr), rounds=5)
-    np.testing.assert_array_equal(bits["packed"], bits["unpacked"])
+    for label, run in (
+        ("packed", lambda: ssd.query(expr).bits),
+        ("vth", lambda: vth_query(ssd, expr, batch=True).bits),
+    ):
+        bits[label] = run()  # warm template cache + V_TH
+        results[label] = _time(run, rounds=5)
+    np.testing.assert_array_equal(bits["packed"], bits["vth"])
     return {
         "packed_s": results["packed"],
-        "unpacked_s": results["unpacked"],
-        "speedup": results["unpacked"] / results["packed"],
+        "vth_s": results["vth"],
+        "speedup": results["vth"] / results["packed"],
     }
 
 
@@ -161,7 +169,7 @@ def measure_memory() -> dict:
     g = SENSE_GEOMETRY
     cells = g.wordlines_per_string * g.page_size_bits
     seed_bytes = cells * (4 + 1 + 1 + 1)
-    fc, plan = _sense_setup(True)
+    fc, plan = _sense_setup()
     fc.executor.execute(plan)
     blocks = [
         fc.chip.plane_array.block(addr)
@@ -179,7 +187,7 @@ def test_packed_sense_speedup():
     m = measure_sense()
     print(
         f"\n{N_SENSE_OPERANDS}-operand MWS on 16-KiB pages: "
-        f"unpacked {m['unpacked_s'] * 1e3:.3f} ms, "
+        f"V_TH compare {m['vth_s'] * 1e3:.3f} ms, "
         f"packed {m['packed_s'] * 1e3:.3f} ms, "
         f"speedup {m['speedup']:.1f}x"
     )
@@ -193,7 +201,7 @@ def test_packed_query_speedup():
     m = measure_query()
     print(
         f"\n{N_CHUNKS}-chunk functional query ({N_AND + N_OR} operands): "
-        f"unpacked {m['unpacked_s'] * 1e3:.2f} ms, "
+        f"V_TH compare {m['vth_s'] * 1e3:.2f} ms, "
         f"packed {m['packed_s'] * 1e3:.2f} ms, "
         f"speedup {m['speedup']:.1f}x"
     )

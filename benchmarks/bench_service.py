@@ -41,14 +41,12 @@ N_DAYS = 12
 N_QUERIES = 16
 
 
-def _loaded_ssd(seed: int = 1, *, packed: bool = True) -> SmallSsd:
+def _loaded_ssd(seed: int = 1) -> SmallSsd:
     """The shared service workload: 12 day bitmaps in one string group
     plus two sparse clique vectors.  ``bench_batch_sense`` reuses this
     (and ``_mixed_stream``) so both benchmarks measure the same
-    window; ``packed=False`` builds the V_TH-plane oracle twin."""
-    ssd = SmallSsd(
-        n_chips=N_CHIPS, geometry=GEOMETRY, seed=seed, packed=packed
-    )
+    window."""
+    ssd = SmallSsd(n_chips=N_CHIPS, geometry=GEOMETRY, seed=seed)
     rng = np.random.default_rng(seed + 1)
     n_bits = N_CHUNKS * GEOMETRY.page_size_bits
     for i in range(N_DAYS):

@@ -6,8 +6,8 @@ Two execution strategies share one cost model:
   sense at a time -- the reference semantics and the per-sense V_TH
   oracle every batched path is property-tested against.
 * :meth:`MwsExecutor.execute_batch` drains a whole queue of plans
-  *batch-first* on the packed error-free plane: every sense of every
-  plan is evaluated in one vectorized
+  *batch-first*: on an error-free chip every sense of every plan is
+  evaluated in one vectorized
   :meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch` pass,
   the latch protocol replays per ISCM-signature group through
   :meth:`~repro.flash.latches.LatchBank.capture_batch`, and the
@@ -17,61 +17,70 @@ Two execution strategies share one cost model:
   drops from O(senses) to O(signature groups).
 
 Error-injecting chips ride the same batch shape through the V_TH
-error plane (:meth:`MwsExecutor._execute_batch_vth` over
+compare (:meth:`MwsExecutor.execute_degraded_batch` over
 :meth:`~repro.flash.chip.NandFlashChip.execute_sense_batch_vth`): the
 window's stochastic perturbation draws happen in one vectorized pass
 whose draw schedule is identical to the scalar per-sense loop's, so
 the corrupted bits -- and everything downstream of them (ECC retries,
 recovery decisions) -- are the same bits either way.  Degraded-mode
-recovery batches likewise via
-:meth:`MwsExecutor.execute_degraded_batch`.
+recovery on error-free chips batches through the same method.  Every
+path latches and returns packed ``uint64`` words.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import is_
 
 import numpy as np
 
 from repro.core.planner import Plan, SenseStep, XorStep
 from repro.flash.chip import NandFlashChip
-from repro.flash.packing import pack_bits, pack_rows, unpack_words
+from repro.flash.packing import unpack_words
 from repro.flash.timing import TimingModel
 
 
-@dataclass(frozen=True)
 class ExecutionResult:
     """Result of one in-flash computation.
 
-    The result page is held natively packed (``uint64`` words) on the
-    packed data plane and as 0/1 bytes otherwise; either view converts
-    lazily on first access, so controller-side pipelines can stay
-    packed while direct library users keep reading ``bits``.
+    The result page is held packed (``uint64`` words), so
+    controller-side pipelines stay packed; ``bits`` is the unpacked
+    view direct library users read, converted on first access.
+
+    A slotted plain class: one is built per executed plan on every
+    drain, and slot stores cost about a quarter of a frozen
+    dataclass's per-field ``object.__setattr__``.
     """
 
-    n_senses: int
-    latency_us: float
-    energy_nj: float
-    n_bits: int
-    _bits: np.ndarray | None = field(default=None, repr=False)
-    _words: np.ndarray | None = field(default=None, repr=False)
+    __slots__ = (
+        "n_senses",
+        "latency_us",
+        "energy_nj",
+        "n_bits",
+        "words",
+        "_bits",
+    )
+
+    def __init__(
+        self,
+        n_senses: int,
+        latency_us: float,
+        energy_nj: float,
+        n_bits: int,
+        words: np.ndarray,
+    ) -> None:
+        self.n_senses = n_senses
+        self.latency_us = latency_us
+        self.energy_nj = energy_nj
+        self.n_bits = n_bits
+        self.words = words
+        self._bits: np.ndarray | None = None
 
     @property
     def bits(self) -> np.ndarray:
         """Unpacked 0/1 result page (uint8)."""
         if self._bits is None:
-            object.__setattr__(
-                self, "_bits", unpack_words(self._words, self.n_bits)
-            )
+            self._bits = unpack_words(self.words, self.n_bits)
         return self._bits
-
-    @property
-    def words(self) -> np.ndarray:
-        """Packed uint64 result page."""
-        if self._words is None:
-            object.__setattr__(self, "_words", pack_bits(self._bits))
-        return self._words
 
 
 def _batch_info(plan: Plan) -> tuple | None:
@@ -168,10 +177,10 @@ class MwsExecutor:
         """Execute a plan on the V_TH read-retry path (degraded mode).
 
         The fault-recovery fallback: every sense evaluates through the
-        per-cell V_TH comparison (``force_vth``) instead of the packed
-        word reduce -- on an error-free chip this is bit-identical to
-        :meth:`execute`, just slower, and it sidesteps the packed
-        plane a transient sense fault condemned.  ``extra_senses``
+        per-cell V_TH comparison (``force_vth``) instead of the word
+        reduce -- on an error-free chip this is bit-identical to
+        :meth:`execute`, just slower, and it sidesteps the word reduce
+        a transient sense fault condemned.  ``extra_senses``
         models the margin-read ladder real firmware walks per sense
         (each charged at the step's own MWS shape), so degraded
         latency/energy honestly exceed the healthy path.
@@ -201,30 +210,23 @@ class MwsExecutor:
                 chip.xor_command(step.plane)
             else:  # pragma: no cover - plans only hold the two kinds
                 raise TypeError(f"unknown plan step {step!r}")
-        common = dict(
+        return ExecutionResult(
             n_senses=chip.counters.senses - senses_before,
             latency_us=chip.counters.busy_us - busy_before,
             energy_nj=chip.counters.energy_nj - energy_before,
             n_bits=chip.geometry.page_size_bits,
-        )
-        if chip.packed:
-            return ExecutionResult(
-                _words=chip.output_cache_words(plan.plane), **common
-            )
-        return ExecutionResult(
-            _bits=chip.output_cache(plan.plane), **common
+            words=chip.output_cache_words(plan.plane),
         )
 
     def execute_batch(self, plans: list[Plan]) -> list[ExecutionResult]:
         """Drain a queue of plans batch-first (see module docstring).
 
-        Off the packed error-free plane (error injection,
-        ``packed=False``) the queue batches through the V_TH error
-        plane instead (:meth:`_execute_batch_vth`, draw-schedule
+        On an error-injecting chip the queue batches through the V_TH
+        compare instead (:meth:`execute_degraded_batch`, draw-schedule
         identical to the scalar loop), falling back to the scalar loop
         only for queues with no batched equivalent (cross-plane XOR,
-        MLC targets) -- so callers can always route through this entry
-        point.  On the packed batch path:
+        MLC targets, injected bad blocks) -- so callers can always
+        route through this entry point.  On an error-free chip:
 
         1. every plan's sense commands are flattened plan-major and
            evaluated in one :meth:`NandFlashChip.execute_sense_batch`
@@ -240,8 +242,8 @@ class MwsExecutor:
         chip = self.chip
         if not plans:
             return []
-        if not chip.packed:
-            results = self._execute_batch_vth(plans)
+        if chip.inject_errors:
+            results = self.execute_degraded_batch(plans)
             if results is not None:
                 return results
             return self.execute_many(plans)
@@ -266,7 +268,7 @@ class MwsExecutor:
         # ------------------------------------------------------------
         # 3. Cost accounting, plan-by-plan in scalar step order.
         # ------------------------------------------------------------
-        return self._charge_results(infos, plan_words, packed=True)
+        return self._charge_results(infos, plan_words)
 
     def execute_batch_reuse(
         self,
@@ -283,8 +285,8 @@ class MwsExecutor:
         can extend the memo.
         The caller (:class:`repro.ssd.query_engine.StackCache`) owns
         staleness: it hands in entries only while its layout/content
-        stamp is unchanged, which is exactly when the packed plane
-        would re-derive identical rows.
+        stamp is unchanged, which is exactly when the error-free word
+        reduce would re-derive identical rows.
 
         Only the *sensing* of reused plans is skipped -- the latch
         protocol replays over the whole window (so per-plane landing
@@ -293,8 +295,8 @@ class MwsExecutor:
         memoized pairs (``note_read`` is a pure counter), and the
         dispatch count moves by one exactly as a fresh batch would.
         Returns ``(results, reused_plan_count)``, or ``None`` when
-        the queue has no batched equivalent (caller falls back to
-        :meth:`execute_batch`).
+        the queue has no batched equivalent or the chip injects errors
+        (caller falls back to :meth:`execute_batch`).
 
         An exact *steady-state* repeat -- every plan hit, the same
         plan/row population as the previous window through this
@@ -308,7 +310,7 @@ class MwsExecutor:
         contract), so counters stay identical too.
         """
         chip = self.chip
-        if not plans or not chip.packed:
+        if not plans or chip.inject_errors:
             return None
         infos = self._batch_infos(plans)
         if infos is None:
@@ -346,7 +348,7 @@ class MwsExecutor:
                     block.note_read(n_wordlines)
             self.dispatches += 1
             return (
-                self._charge_results(infos, memo[2], packed=True),
+                self._charge_results(infos, memo[2]),
                 len(hit_reads),
             )
         if miss_commands:
@@ -388,60 +390,31 @@ class MwsExecutor:
             ),
         )
         return (
-            self._charge_results(infos, plan_words, packed=True),
+            self._charge_results(infos, plan_words),
             len(hit_reads),
         )
-
-    def _execute_batch_vth(
-        self, plans: list[Plan]
-    ) -> list[ExecutionResult] | None:
-        """Batch a queue through the V_TH error plane.
-
-        The error-injecting counterpart of the packed batch: sensing
-        for the whole queue runs in one
-        :meth:`NandFlashChip.execute_sense_batch_vth` pass -- with the
-        stochastic draw schedule of the scalar per-sense loop
-        preserved exactly -- and the latch protocol and cost counters
-        replay per plan as the packed path does, over 0/1 bit matrices
-        instead of packed words.  Returns ``None`` (nothing executed,
-        no RNG consumed) when the queue has no batched equivalent: a
-        cross-plane XOR plan or an MLC-programmed target, both of
-        which keep the per-sense V_TH loop.
-        """
-        chip = self.chip
-        infos = self._batch_infos(plans)
-        if infos is None:
-            return None
-        commands, sense_base, lane_groups = self._batch_layout(infos)
-        bits = chip.execute_sense_batch_vth(commands)
-        if bits is None:
-            return None
-        # Committed: the window's draws happened, batch-schedule equal
-        # to the scalar loop's.
-        self.dispatches += 1
-        plan_bits = self._replay_latches(
-            plans, infos, bits, sense_base, lane_groups
-        )
-        return self._charge_results(infos, plan_bits, packed=False)
 
     def execute_degraded_batch(
         self, plans: list[Plan], *, extra_senses: int = 0
     ) -> list[ExecutionResult] | None:
-        """Batch a degraded-mode queue (read-retry V_TH path).
+        """Batch a queue through the per-cell V_TH compare.
 
-        The batched counterpart of :meth:`execute_degraded` for the
-        packed plane: every sense evaluates through the per-cell V_TH
-        comparison (``force_vth``) in one batched pass -- bit-identical
-        to the per-plan degraded loop on an error-free chip -- and the
-        margin-read ladder (``extra_senses``) charges per step exactly
-        as the scalar loop does.  Returns ``None`` when the queue must
-        stay scalar: an unpacked chip, a cross-plane XOR, an MLC
-        target, or any plan targeting an injected bad block (the
-        scalar loop's per-plan ``FlashFault`` semantics are preserved
-        by never batching such a queue).
+        The batched counterpart of :meth:`execute_degraded`, and the
+        batch path of every error-injecting chip: sensing for the whole
+        queue runs in one :meth:`NandFlashChip.execute_sense_batch_vth`
+        pass (``force_vth``) -- with the stochastic draw schedule of the
+        scalar per-sense loop preserved exactly, and bit-identical to
+        the word reduce on an error-free chip -- and the latch protocol
+        and cost counters replay per plan as the error-free batch does.
+        The margin-read ladder (``extra_senses``) charges per step
+        exactly as the scalar loop does.  Returns ``None`` (nothing
+        executed, no RNG consumed) when the queue must stay scalar: a
+        cross-plane XOR, an MLC target, or any plan targeting an
+        injected bad block (the scalar loop's per-plan ``FlashFault``
+        semantics are preserved by never batching such a queue).
         """
         chip = self.chip
-        if not chip.packed or not plans:
+        if not plans:
             return None
         infos = self._batch_infos(plans)
         if infos is None:
@@ -455,16 +428,17 @@ class MwsExecutor:
                         chip.fault_chip_id, block_addr
                     ):
                         return None
-        bits = chip.execute_sense_batch_vth(commands, force_vth=True)
-        if bits is None:
+        words = chip.execute_sense_batch_vth(commands)
+        if words is None:
             return None
+        # Committed: the window's draws happened, batch-schedule equal
+        # to the scalar loop's.
         self.dispatches += 1
-        words = pack_rows(bits)
         plan_words = self._replay_latches(
             plans, infos, words, sense_base, lane_groups
         )
         return self._charge_results(
-            infos, plan_words, packed=True, extra_senses=extra_senses
+            infos, plan_words, extra_senses=extra_senses
         )
 
     # ------------------------------------------------------------------
@@ -520,14 +494,13 @@ class MwsExecutor:
         self,
         plans: list[Plan],
         infos: list[tuple],
-        payload: np.ndarray,
+        words: np.ndarray,
         sense_base: list[int],
         lane_groups: dict[tuple, list[int]],
     ) -> list[np.ndarray]:
         """Replay the latch protocol per lane group and return each
-        plan's final C-latch row.  ``payload`` holds one row per
-        flattened sense command -- packed ``uint64`` words or unpacked
-        0/1 bits, matching the chip's latch representation."""
+        plan's final C-latch row.  ``words`` holds one packed
+        ``uint64`` row per flattened sense command."""
         chip = self.chip
         last_on_plane: dict[int, int] = {}
         for index, plan in enumerate(plans):
@@ -543,7 +516,7 @@ class MwsExecutor:
                 rows = np.asarray(
                     [sense_base[i] + ordinal for i in members]
                 )
-                matrices.append(payload[rows])
+                matrices.append(words[rows])
                 ordinal += 1
             landing = last_on_plane[plane]
             cache_rows = chip.latches[plane].capture_batch(
@@ -560,9 +533,8 @@ class MwsExecutor:
     def _charge_results(
         self,
         infos: list[tuple],
-        payloads: list[np.ndarray],
+        plan_words: list[np.ndarray],
         *,
-        packed: bool,
         extra_senses: int = 0,
     ) -> list[ExecutionResult]:
         """Charge counters plan-by-plan in scalar step order and build
@@ -611,8 +583,7 @@ class MwsExecutor:
                     counters.busy_us - busy_before,
                     counters.energy_nj - energy_before,
                     n_bits,
-                    None if packed else payloads[index],
-                    payloads[index] if packed else None,
+                    plan_words[index],
                 )
             )
         return results

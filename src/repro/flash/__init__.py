@@ -14,16 +14,20 @@ Cell state lives in **two representations** (see
 :mod:`repro.flash.array` and :mod:`repro.flash.packing`):
 
 * the *functional plane* -- each wordline's logical bits packed 64 per
-  ``uint64`` word.  Always maintained; error-free senses, the latch
-  protocol, and the controller-side query path evaluate directly on
-  these words (``np.bitwise_and.reduce`` over rows *is* the
-  string-group AND), never touching V_TH.
+  ``uint64`` word.  Always maintained; error-free senses evaluate
+  directly on these words (``np.bitwise_and.reduce`` over rows *is*
+  the string-group AND), never touching V_TH.
 * the *error plane* -- the float32 V_TH matrix the error model
   perturbs at sense time.  Eagerly materialized and ISPP-programmed
   when a chip injects errors (all reliability figures reproduce
   unchanged); for noise-free chips it is materialized lazily with
   idealized mean-valued distributions only when something asks for it
   (read-retry VREF offsets, V_TH introspection).
+
+Whichever plane a sense evaluates on, its result is one page of packed
+words: the V_TH compare packs its per-bitline result at the sense
+boundary, so the latch protocol and the controller-side query path
+run on ``uint64`` words for every chip.
 
 On top of the per-sense fast path sits a *batched* execution plane
 (:meth:`~repro.flash.sensing.SensingEngine.sense_batch`,
@@ -33,10 +37,11 @@ queue of MWS commands stacks its packed operand rows into 3-D
 ``uint64`` tensors (grouped by per-block wordline-count profile) and
 evaluates every string-group AND / inter-block OR -- and the latch
 protocol of every plan -- with a handful of word-wide NumPy calls.
-The batch plane engages only where the packed fast path does (error
-injection off, no VREF offset); error-injecting senses stay strictly
-per sense on the V_TH oracle, and batch results are bit-identical to
-the scalar protocol with float-identical timing/energy accounting.
+Error-injecting chips batch through
+:meth:`~repro.flash.sensing.SensingEngine.sense_batch_vth` instead,
+which draws one Gaussian block per window in the per-sense loop's
+exact order.  Batch results are bit-identical to the scalar protocol
+with float-identical timing/energy accounting.
 """
 
 from repro.flash.array import BlockArray, PlaneArray

@@ -10,15 +10,15 @@ defines (MWS with ISCM flags, ESP programming, latch XOR) plus the
 regular read/program/erase commands, so the Flash-Cosmos core and the
 ParaBit baseline drive it exactly like firmware drives a real chip.
 
-With the default ``packed=True`` the error-free functional data path
-stays bit-packed end to end: senses reduce ``uint64`` word rows, the
-latches accumulate words, and ``output_cache_words`` hands packed
-buffers to the controller; unpacking happens only at external result
-boundaries.  ``packed=False`` keeps the one-byte-per-bit evaluation
-for equivalence testing.  Error injection always evaluates through
-the V_TH plane, unchanged.
+The functional data path is bit-packed end to end: every sense yields
+``uint64`` words (a word reduce when error-free, a packed V_TH compare
+when injecting errors), the latches accumulate words, and
+``output_cache_words`` hands packed buffers to the controller;
+unpacking happens only at external result boundaries.
 
-``execute_sense_batch`` is the chip half of the batched data plane:
+``execute_sense_batch`` (error-free) and ``execute_sense_batch_vth``
+(error injection, degraded recovery) are the chip half of the batched
+data plane:
 it resolves and validates many MWS commands at once (memoized per
 command, revalidated via block ``layout_version``) and evaluates all
 their senses in one vectorized pass, leaving the latch protocol and
@@ -92,16 +92,14 @@ class NandFlashChip:
         condition: OperatingCondition | None = None,
         seed: int = 0,
         inject_errors: bool = True,
-        packed: bool = True,
     ) -> None:
         self.geometry = geometry
         self.calibration = calibration or DEFAULT_CALIBRATION
         self.condition = condition or OperatingCondition()
-        #: The packed plane only pays off when senses are error-free
-        #: (word-wide conduction).  Error injection evaluates per cell
-        #: through V_TH and produces unpacked bits, so packing the
-        #: latch pipeline there would just add per-sense conversions.
-        self.packed = packed and not inject_errors
+        #: Senses perturb V_TH with the stress condition (per-cell
+        #: compare, packed at the sense boundary); without it they are
+        #: word reduces over the stored bits.
+        self.inject_errors = inject_errors
         self.error_model = ErrorModel(self.calibration)
         self.timing = TimingModel()
         self.power = PowerModel()
@@ -117,10 +115,9 @@ class NandFlashChip:
             self.error_model,
             rng=np.random.default_rng(seed + 0x5EED),
             inject_errors=inject_errors,
-            packed=self.packed,
         )
         self.latches = {
-            plane: LatchBank(geometry.page_size_bits, packed=self.packed)
+            plane: LatchBank(geometry.page_size_bits)
             for plane in range(geometry.planes_per_die)
         }
         #: Runtime-tunable parameters (the SET FEATURE command).
@@ -160,16 +157,15 @@ class NandFlashChip:
         #: the packed plane).  A fresh token (another chip, or a fault
         #: injector attached since) invalidates every entry at once.
         self._resolved_token = object()
-        #: id(commands) -> (pinned command list, vref_offset,
-        #: force_vth, prepared V_TH schedule, (block, layout_version)
-        #: revalidation pairs) for the batched error plane.  The
-        #: executor's layout memo hands back the same command-list
-        #: object for a repeated window, so identity is the window
-        #: key; pinning the list keeps the id unique among live
-        #: objects.  Entries revalidate per-block ``layout_version``
-        #: and are dropped wholesale when the ambient condition or
-        #: fault injector changes (both invalidate resolved
-        #: conditions/bad-block checks).
+        #: id(commands) -> (pinned command list, prepared V_TH
+        #: schedule, (block, layout_version) revalidation pairs) for
+        #: the batched V_TH compare.  The executor's layout memo hands
+        #: back the same command-list object for a repeated window, so
+        #: identity is the window key; pinning the list keeps the id
+        #: unique among live objects.  Entries revalidate per-block
+        #: ``layout_version`` and are dropped wholesale when the
+        #: ambient condition or fault injector changes (both
+        #: invalidate resolved conditions/bad-block checks).
         self._vth_schedules: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -335,18 +331,14 @@ class NandFlashChip:
             else self.page_index(address)
         )
         page_bits = self.geometry.page_size_bits
-        if self.packed:
-            # Word-wise de-randomization on the packed C-latch output:
-            # the single unpack stays at this external boundary.
-            words = self.randomizer.derandomize(
-                self.output_cache_words(address.plane),
-                index,
-                n_bits=page_bits,
-            )
-            return unpack_words(words, page_bits)
-        return self.randomizer.derandomize(
-            self.output_cache(address.plane), index
+        # Word-wise de-randomization on the packed C-latch output: the
+        # single unpack stays at this external boundary.
+        words = self.randomizer.derandomize(
+            self.output_cache_words(address.plane),
+            index,
+            n_bits=page_bits,
         )
+        return unpack_words(words, page_bits)
 
     def program_page_mlc(
         self,
@@ -553,9 +545,9 @@ class NandFlashChip:
         single operation and drive the latch protocol per the ISCM
         flags.  A regular read is the one-block/one-wordline case.
         ``vref_offset`` shifts VREF (read-retry support); ``force_vth``
-        evaluates through the V_TH comparison even on the packed plane
-        (degraded-mode recovery -- bit-identical on an error-free chip,
-        just slower)."""
+        evaluates through the V_TH comparison even on an error-free
+        chip (degraded-mode recovery -- bit-identical there, just
+        slower)."""
         self._check_online()
         plane, blocks = self._resolve_targets(targets)
         bank = self.latches[plane]
@@ -568,12 +560,7 @@ class NandFlashChip:
             bank.init_cache()
         if iscm.init_sense:
             bank.init_sense()
-        # Hand the latch bank the outcome's native representation:
-        # packed words on the fast path, bits on the V_TH path.
-        bank.capture(
-            outcome.words if self.packed else outcome.bits,
-            inverse=iscm.inverse,
-        )
+        bank.capture(outcome.words, inverse=iscm.inverse)
         if iscm.transfer:
             bank.transfer_to_cache()
 
@@ -593,15 +580,14 @@ class NandFlashChip:
         :meth:`~repro.flash.latches.LatchBank.capture_batch`, counters
         via :meth:`charge_sense`/:meth:`charge_xor` in scalar order --
         so a batched queue stays step-for-step identical to scalar
-        execution.  Requires the packed error-free plane
-        (``self.packed``); error injection keeps the per-sense V_TH
-        path.
+        execution.  Requires an error-free chip; error-injecting chips
+        batch through :meth:`execute_sense_batch_vth`.
         """
         self._check_online()
-        if not self.packed:
+        if self.inject_errors:
             raise RuntimeError(
-                "execute_sense_batch requires the packed error-free "
-                "plane; use execute_sense per command instead"
+                "execute_sense_batch requires an error-free chip; "
+                "error injection batches through execute_sense_batch_vth"
             )
         token = self._resolved_token
         stacks: list[np.ndarray] = []
@@ -632,27 +618,23 @@ class NandFlashChip:
         return self.sensing.sense_batch_stacks(stacks, profiles)
 
     def execute_sense_batch_vth(
-        self,
-        commands: list["MwsCommand"],
-        *,
-        vref_offset: float = 0.0,
-        force_vth: bool = False,
+        self, commands: list["MwsCommand"]
     ) -> np.ndarray | None:
-        """Evaluate many MWS commands through the V_TH error plane in
-        one batched pass.
+        """Evaluate many MWS commands through the V_TH compare in one
+        batched pass.
 
         The counterpart of :meth:`execute_sense_batch` for chips that
-        inject errors (or for ``force_vth`` degraded recovery on the
-        packed plane): targets are validated and conditions resolved
+        inject errors, and the ``force_vth`` degraded-recovery batch on
+        an error-free chip: targets are validated and conditions resolved
         exactly as :meth:`execute_sense`, then the whole window's
         perturb + compare runs through
         :meth:`~repro.flash.sensing.SensingEngine.sense_batch_vth`,
         which keeps the stochastic draw schedule identical to the
-        scalar per-sense loop.  Returns an ``(n_commands, page_bits)``
-        bit matrix, or ``None`` when any target is MLC-programmed
+        scalar per-sense loop.  Returns one packed ``uint64`` result
+        row per command, or ``None`` when any target is MLC-programmed
         (callers fall back to per-sense execution before any draw or
         read-disturb side effect).  Latch protocol and cost counters
-        are replayed by the executor, as with the packed batch.
+        are replayed by the executor, as with the error-free batch.
 
         The prepared schedule -- resolution, stress scalars, stacked
         perturbed-base tensors -- is cached per command-window object
@@ -666,17 +648,12 @@ class NandFlashChip:
         self._check_online()
         key = id(commands)
         entry = self._vth_schedules.get(key)
-        if (
-            entry is not None
-            and entry[0] is commands
-            and entry[1] == vref_offset
-            and entry[2] == force_vth
-        ):
-            for block, version in entry[4]:
+        if entry is not None and entry[0] is commands:
+            for block, version in entry[2]:
                 if block.layout_version != version:
                     break
             else:
-                return self.sensing.run_batch_vth(entry[3])
+                return self.sensing.run_batch_vth(entry[1])
         senses = []
         conditions = []
         for command in commands:
@@ -684,10 +661,7 @@ class NandFlashChip:
             senses.append(blocks)
             conditions.append(self._effective_condition(blocks))
         schedule = self.sensing.prepare_batch_vth(
-            senses,
-            conditions,
-            vref_offset=vref_offset,
-            force_vth=force_vth,
+            senses, conditions, force_vth=True
         )
         if schedule is None:
             return None
@@ -695,8 +669,6 @@ class NandFlashChip:
             self._vth_schedules.clear()
         self._vth_schedules[key] = (
             commands,
-            vref_offset,
-            force_vth,
             schedule,
             tuple(
                 (block, block.layout_version)

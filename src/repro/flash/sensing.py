@@ -17,18 +17,20 @@ Sensing is where bit errors happen: the engine perturbs the stored
 V_TH with the stress condition before comparing against VREF, so MWS
 results carry realistic errors unless the data was ESP-programmed.
 
-Two evaluation paths implement the same semantics:
+Every sense returns its page as packed ``uint64`` words (64 bitlines
+per word, padding bits at one); two evaluation paths produce them:
 
-* the **packed fast path** (``packed=True``, error injection off, no
-  VREF offset): error-free conduction of a cell equals its stored bit,
-  so the string-group AND is a single ``np.bitwise_and.reduce`` over
-  the block's packed ``uint64`` word rows -- 64 cells per machine
-  word, no V_TH materialization at all;
-* the **V_TH path**: slices the block's float32 V_TH matrix, applies
-  the stress perturbation (when injecting errors) and compares against
-  the read reference cell by cell.  Error injection, read-retry VREF
-  offsets, and the ``packed=False`` compatibility mode all take this
-  path, so every reliability figure reproduces unchanged.
+* the **word reduce** (error injection off, no VREF offset):
+  error-free conduction of a cell equals its stored bit, so the
+  string-group AND is a single ``np.bitwise_and.reduce`` over the
+  block's packed word rows -- no V_TH materialization at all;
+* the **V_TH compare**: slices the block's float32 V_TH matrix,
+  applies the stress perturbation (when injecting errors) and compares
+  against the read reference cell by cell, then packs the conduction
+  bits once at the sense boundary.  Error injection, read-retry VREF
+  offsets, and degraded-mode recovery (``force_vth``) take this path;
+  the per-cell draws and compares do not depend on the latch format,
+  so every reliability figure reproduces unchanged.
 
 On top of the per-sense fast path, :meth:`SensingEngine.sense_batch`
 evaluates a whole *queue* of MWS operations at once: the packed
@@ -38,9 +40,10 @@ ORs of the entire batch collapse into a handful of
 ``np.bitwise_and.reduce`` / ``bitwise_or`` calls -- O(profiles)
 NumPy dispatches for O(senses) sensing operations.  Row ``i`` of the
 result is bit-identical to ``inter_block_mws(senses[i], ...).words``.
-The V_TH path stays strictly per sense (error injection is the
-per-cell oracle), which is why the batch entry point refuses to run
-off the packed error-free plane.
+The word reduce only holds for error-free senses, so that entry point
+refuses error-injecting chips; their windows batch through
+:meth:`SensingEngine.sense_batch_vth`, which keeps the per-sense draw
+schedule exactly.
 """
 
 from __future__ import annotations
@@ -55,7 +58,12 @@ from repro.flash.array import BlockArray
 from repro.flash.errors import ErrorModel, OperatingCondition
 from repro.flash.geometry import StringGroup
 from repro.flash.ispp import ProgramMode
-from repro.flash.packing import pack_bits, unpack_rows, unpack_words
+from repro.flash.packing import (
+    pack_bits,
+    pack_rows,
+    unpack_rows,
+    unpack_words,
+)
 
 
 class SenseMode(enum.Enum):
@@ -67,58 +75,24 @@ class SenseMode(enum.Enum):
 
 @dataclass(frozen=True)
 class SenseOutcome:
-    """Raw evaluation result of one sensing operation (pre-latch).
-
-    The result is held natively in whichever representation the
-    engine produced -- packed ``uint64`` words or unpacked 0/1 bits --
-    and converted lazily (then cached) when the other view is asked
-    for, so the packed pipeline never round-trips through bytes.
-    """
+    """Raw evaluation result of one sensing operation (pre-latch):
+    the page as packed ``uint64`` words (ones-padded).  ``bits`` is the
+    unpacked 0/1 view, converted on first access and cached."""
 
     wordlines_sensed: int
     blocks_sensed: int
     n_bits: int
+    words: np.ndarray
     _bits: np.ndarray | None = field(default=None, repr=False)
-    _words: np.ndarray | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_words(
-        cls, words: np.ndarray, n_bits: int, *, wordlines: int, blocks: int
-    ) -> "SenseOutcome":
-        return cls(
-            wordlines_sensed=wordlines,
-            blocks_sensed=blocks,
-            n_bits=n_bits,
-            _words=words,
-        )
-
-    @classmethod
-    def from_bits(
-        cls, bits: np.ndarray, *, wordlines: int, blocks: int
-    ) -> "SenseOutcome":
-        bits = np.asarray(bits, dtype=np.uint8)
-        return cls(
-            wordlines_sensed=wordlines,
-            blocks_sensed=blocks,
-            n_bits=bits.size,
-            _bits=bits,
-        )
 
     @property
     def bits(self) -> np.ndarray:
         """Unpacked 0/1 result (uint8)."""
         if self._bits is None:
             object.__setattr__(
-                self, "_bits", unpack_words(self._words, self.n_bits)
+                self, "_bits", unpack_words(self.words, self.n_bits)
             )
         return self._bits
-
-    @property
-    def words(self) -> np.ndarray:
-        """Packed uint64 result (ones-padded)."""
-        if self._words is None:
-            object.__setattr__(self, "_words", pack_bits(self._bits))
-        return self._words
 
 
 class VthBatchSchedule:
@@ -178,16 +152,10 @@ class SensingEngine:
         *,
         rng: np.random.Generator | None = None,
         inject_errors: bool = True,
-        packed: bool = True,
     ) -> None:
         self.error_model = error_model
         self.rng = rng or np.random.default_rng(0)
         self.inject_errors = inject_errors
-        #: Use the packed word fast path for error-free senses.  With
-        #: ``packed=False`` even error-free senses evaluate through the
-        #: V_TH matrix -- the pre-packing behaviour, kept as an oracle
-        #: for equivalence tests and benchmarks.
-        self.packed = packed
         # Error-free sensing resolves the read reference from a
         # pristine condition whose only live input is the ESP effort;
         # cache it per effort to keep the per-sense hot path lean.
@@ -269,27 +237,21 @@ class SensingEngine:
         """Per-bitline conduction of one string group: AND over the
         targeted wordlines' cell conduction.
 
-        Returns packed ``uint64`` words on the error-free fast path,
-        a boolean per-bitline array on the V_TH path (callers wrap
-        either into a :class:`SenseOutcome`).
+        Returns packed ``uint64`` words on both paths; the V_TH compare
+        packs its per-bitline result once, here.
 
         ``vref_offset`` shifts the read-reference voltage -- the
         read-retry mechanism real chips expose to recover data whose
         V_TH distribution has drifted.  ``force_vth`` routes even an
-        error-free packed sense through the V_TH comparison -- the
+        error-free sense through the V_TH comparison -- the
         degraded/read-retry mode fault recovery falls back to, which
-        on an error-free chip is bit-identical to the packed reduce
+        on an error-free chip is bit-identical to the word reduce
         (the idealized distributions are fully separated at zero
         offset), just slower.
         """
         has_mlc, mode, esp_extra = self._scan_metadata(block, wordlines)
         rows = self._rows(wordlines)
-        if (
-            self.packed
-            and not self.inject_errors
-            and vref_offset == 0.0
-            and not force_vth
-        ):
+        if not self.inject_errors and vref_offset == 0.0 and not force_vth:
             # Error-free conduction of a cell equals its stored bit
             # (the calibrated states are fully separated at zero
             # offset), so the string-group AND is a word-wide reduce
@@ -324,7 +286,7 @@ class SensingEngine:
             read_ref = self._error_free_read_ref(condition, esp_extra)
         conducting = vth <= read_ref + vref_offset
         block.note_read(len(wordlines))
-        return conducting.all(axis=0)
+        return pack_bits(conducting.all(axis=0))
 
     def _error_free_read_ref(
         self, condition: OperatingCondition, esp_extra: float
@@ -342,22 +304,6 @@ class SensingEngine:
             self._pristine_read_ref[esp_extra] = read_ref
         return read_ref
 
-    def _outcome(
-        self,
-        payload: np.ndarray,
-        *,
-        n_bits: int,
-        wordlines: int,
-        blocks: int,
-    ) -> SenseOutcome:
-        if payload.dtype == np.uint64:
-            return SenseOutcome.from_words(
-                payload, n_bits, wordlines=wordlines, blocks=blocks
-            )
-        return SenseOutcome.from_bits(
-            payload.astype(np.uint8), wordlines=wordlines, blocks=blocks
-        )
-
     # ------------------------------------------------------------------
     # Public sensing operations
     # ------------------------------------------------------------------
@@ -373,19 +319,14 @@ class SensingEngine:
     ) -> SenseOutcome:
         """Regular page read: VREF on exactly one wordline.  For MLC
         wordlines this is the LSB-page read (single reference)."""
-        payload = self._conduction(
+        words = self._conduction(
             block,
             (wordline,),
             condition,
             vref_offset=vref_offset,
             force_vth=force_vth,
         )
-        return self._outcome(
-            payload,
-            n_bits=block.geometry.page_size_bits,
-            wordlines=1,
-            blocks=1,
-        )
+        return SenseOutcome(1, 1, block.geometry.page_size_bits, words)
 
     def read_msb_wordline(
         self,
@@ -411,10 +352,11 @@ class SensingEngine:
         below_ref1 = vth[0] <= ref1
         above_ref3 = vth[0] > ref3
         block.note_read(2)
-        return SenseOutcome.from_bits(
-            (below_ref1 | above_ref3).astype(np.uint8),
-            wordlines=1,
-            blocks=1,
+        return SenseOutcome(
+            1,
+            1,
+            block.geometry.page_size_bits,
+            pack_bits(below_ref1 | above_ref3),
         )
 
     def intra_block_mws(
@@ -427,18 +369,15 @@ class SensingEngine:
         force_vth: bool = False,
     ) -> SenseOutcome:
         """Intra-block MWS: bitwise AND of the targeted wordlines."""
-        payload = self._conduction(
+        words = self._conduction(
             block,
             tuple(wordlines),
             condition,
             vref_offset=vref_offset,
             force_vth=force_vth,
         )
-        return self._outcome(
-            payload,
-            n_bits=block.geometry.page_size_bits,
-            wordlines=len(wordlines),
-            blocks=1,
+        return SenseOutcome(
+            len(wordlines), 1, block.geometry.page_size_bits, words
         )
 
     def inter_block_mws(
@@ -467,11 +406,11 @@ class SensingEngine:
             total_wordlines += len(wordlines)
             acc = conduction if acc is None else (acc | conduction)
         assert acc is not None
-        return self._outcome(
+        return SenseOutcome(
+            total_wordlines,
+            len(targets),
+            targets[0][0].geometry.page_size_bits,
             acc,
-            n_bits=targets[0][0].geometry.page_size_bits,
-            wordlines=total_wordlines,
-            blocks=len(targets),
         )
 
     def sense_string_groups(
@@ -500,9 +439,9 @@ class SensingEngine:
         ones-padded result row per sense, bit-identical to
         ``inter_block_mws(senses[i], ...).words``.
 
-        Only the packed error-free plane can batch: error injection
-        and VREF offsets evaluate per cell through V_TH and stay on
-        the scalar path, so this raises off that plane rather than
+        Only error-free senses reduce words: error injection and VREF
+        offsets evaluate per cell through V_TH (:meth:`sense_batch_vth`),
+        so this raises on an error-injecting engine rather than
         silently approximating.  Senses are grouped by their
         *group-size profile* (the tuple of per-block wordline counts);
         each profile group stacks its operand rows into one 3-D
@@ -571,10 +510,10 @@ class SensingEngine:
         memoizes gather/validation per command (revalidated via block
         ``layout_version``) and calls this directly, so steady-state
         windows pay only the per-profile tensor reduces."""
-        if not (self.packed and not self.inject_errors):
+        if self.inject_errors:
             raise RuntimeError(
-                "sense_batch requires the packed error-free plane; "
-                "error injection and packed=False evaluate per sense"
+                "sense_batch requires an error-free engine; error "
+                "injection batches through sense_batch_vth"
             )
         n = len(stacks)
         if n == 0:
@@ -638,9 +577,9 @@ class SensingEngine:
         ``senses[i]`` is the target list of one inter-block MWS and
         ``conditions[i]`` its effective operating condition (the chip
         resolves per-command randomization surcharges before calling
-        in).  Returns an ``(n_senses, page_bits)`` ``uint8`` matrix
+        in).  Returns an ``(n_senses, n_words)`` ``uint64`` matrix
         whose row ``i`` is bit-identical to
-        ``inter_block_mws(senses[i], conditions[i], ...).bits`` run in
+        ``inter_block_mws(senses[i], conditions[i], ...).words`` run in
         sequence -- *including the stochastic error draws*: the batch
         draws one Gaussian block for the whole window and splits it in
         the exact (sense, block-target) order the scalar loop draws
@@ -684,15 +623,10 @@ class SensingEngine:
         repeated reliability windows skip straight to
         :meth:`run_batch_vth`.
         """
-        if (
-            self.packed
-            and not self.inject_errors
-            and vref_offset == 0.0
-            and not force_vth
-        ):
+        if not self.inject_errors and vref_offset == 0.0 and not force_vth:
             raise RuntimeError(
-                "sense_batch_vth is the V_TH error plane; the packed "
-                "error-free plane batches through sense_batch"
+                "sense_batch_vth is the V_TH error plane; error-free "
+                "senses batch through sense_batch"
             )
         # ------------------------------------------------------------
         # 1. Validate, flatten into (sense, block-target) units in
@@ -904,9 +838,10 @@ class SensingEngine:
         against their precomputed tensors (``base + noise * sigma *
         widen`` is the identical float32 expression the scalar
         ``perturb`` evaluates), ORs units per sense with a segmented
-        reduction that matches the scalar accumulation order, and
-        charges read disturb (``note_read`` is a pure counter, so one
-        aggregated bump per block equals the per-target bumps).
+        reduction that matches the scalar accumulation order, packs the
+        per-sense rows into words once, and charges read disturb
+        (``note_read`` is a pure counter, so one aggregated bump per
+        block equals the per-target bumps).
         Every run re-perturbs with fresh noise, so repeated windows
         flip fresh bits just as the scalar loop would.
         """
@@ -931,9 +866,11 @@ class SensingEngine:
                 unit_conducting[members] = (out <= ref_col).all(axis=1)
         else:
             unit_conducting = schedule.det_conducting
-        out_bits = np.bitwise_or.reduceat(
-            unit_conducting, schedule.sense_starts, axis=0
-        ).astype(np.uint8)
+        words = pack_rows(
+            np.bitwise_or.reduceat(
+                unit_conducting, schedule.sense_starts, axis=0
+            )
+        )
         for block, count in schedule.read_counts:
             block.note_read(count)
-        return out_bits
+        return words

@@ -26,15 +26,16 @@ clients are batched into admission windows, scheduled across chips,
 and executed with cross-query sense sharing through
 ``QueryEngine.prepare``/``execute_tasks``.
 
-The functional data path is **bit-packed end to end** (the default
-``SmallSsd(packed=True)``): ``write_vector`` packs each vector into
-``uint64`` words once at ingest, chips sense and latch packed words
+The functional data path is **bit-packed end to end**:
+``write_vector`` packs each vector into ``uint64`` words once at
+ingest, chips sense and latch packed words
 (:mod:`repro.flash.packing`), chunk results move packed through the
 query engine's replay, and the single unpack happens at the external
-result boundary (``QueryResult.bits`` / ``read_vector``).  The V_TH
-error plane is only materialized for error-injecting configurations,
-which evaluate exactly as before; ``packed=False`` keeps the
-one-byte-per-bit plane alive as the equivalence/benchmark oracle.
+result boundary (``QueryResult.bits`` / ``read_vector``).
+Error-injecting SSDs (``inject_errors=True``) run the same pipeline:
+their senses perturb and compare V_TH per cell and pack the result at
+the sense boundary, and the engine keeps its cross-window result and
+stack caches off for them.
 
 Execution is additionally **batched window-at-a-time**:
 ``QueryEngine.execute_tasks`` dedups an admission window's tasks
@@ -43,11 +44,12 @@ first, then drains each chip's surviving unique plan queue through
 as one stacked ``uint64`` tensor pass, the latch protocol replayed
 lane-parallel -- so Python dispatch per window is O(chips) rather
 than O(senses) and wall-clock window throughput tracks chip count.
-The batch plane engages exactly where the packed plane does: error
-injection (and ``packed=False``) falls back to the per-sense scalar
-loop, which doubles as the equivalence oracle; results are
-bit-identical and cost counters float-identical either way
-(``tests/ssd/test_batch_property.py``).
+Error-injecting chips batch through the V_TH compare with the
+per-sense loop's exact draw schedule; only MLC targets and cross-plane
+XOR stay on the per-sense loop, which doubles as the equivalence
+oracle.  Results are bit-identical and cost counters float-identical
+either way (``tests/ssd/test_batch_property.py``,
+``tests/ssd/test_error_batch_property.py``).
 """
 
 from repro.ssd.config import SsdConfig, fig7_config, table1_config

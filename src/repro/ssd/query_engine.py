@@ -58,9 +58,9 @@ it:
    (:meth:`~repro.flash.latches.LatchBank.capture_batch`), so Python
    dispatch per window is O(chips), not O(senses) -- wall-clock
    window throughput finally tracks chip count the way simulated
-   throughput does.  Error injection and ``packed=False`` fall back
-   to the per-sense scalar loop (the V_TH oracle), and
-   ``batch=False`` forces it for benchmarking.
+   throughput does.  Error-injecting chips batch through the V_TH
+   compare with the per-sense loop's exact draw schedule, and
+   ``batch=False`` forces the per-sense loop for benchmarking.
 
 7. **Cross-window result caching** -- sense sharing only helps
    *within* one ``execute_tasks`` call; an identical query arriving
@@ -221,8 +221,8 @@ class ChunkTask(NamedTuple):
 class ChunkOutcome(NamedTuple):
     """What executing (or sharing) one :class:`ChunkTask` produced.
 
-    ``data`` is the chunk's result page -- packed ``uint64`` words on
-    the packed plane, 0/1 bytes otherwise.  A ``shared`` outcome spent
+    ``data`` is the chunk's result page as packed ``uint64`` words.  A
+    ``shared`` outcome spent
     no flash time: its sense already ran for an identical earlier task
     of the same chip, and ``n_senses``/``latency_us``/``energy_nj``
     are zero accordingly (the window-level counters thus sum to the
@@ -331,10 +331,10 @@ class ResultCache:
     nothing programs mid-window, and the snapshot keeps the per-task
     lookup at dict speed.
 
-    The cache is **packed-plane only**: error-injecting chips sense
-    through the stochastic V_TH plane, where memoizing a draw would
-    change the error statistics, and the ``packed=False`` byte plane
-    is the equivalence oracle and must keep executing.
+    The cache stays **off under error injection**
+    (``SmallSsd.inject_errors``): those chips sense through the
+    stochastic V_TH plane, where memoizing a draw would change the
+    error statistics.
     """
 
     def __init__(self, ssd: "SmallSsd", *, capacity: int = 4096) -> None:
@@ -496,8 +496,8 @@ class StackCache:
     fault-injector (re)attachment.  Conservative by design: reusing
     one stale sense row is strictly worse than restacking a window.
 
-    The cache engages only on the packed error-free plane through the
-    batched drain; the V_TH error plane draws fresh noise per sense
+    The cache engages only on error-free SSDs through the batched
+    drain; the V_TH error plane draws fresh noise per sense
     and memoizes only its draw-independent schedule
     (:class:`~repro.flash.sensing.VthBatchSchedule`, same contract).
     Each entry lives on its plan (``Plan._stack_rows``), so it lives
@@ -1007,7 +1007,7 @@ class QueryEngine:
             )
         data = None
         if result is not None:
-            data = result.words if self.ssd.packed else result.bits
+            data = result.words
         return ChunkOutcome(
             task,
             data,
@@ -1043,8 +1043,8 @@ class QueryEngine:
         each task first consults the cross-window cache -- *before*
         dedup, so a window repeating an earlier window's plans never
         reaches the sensing engine at all; hits come back as
-        ``cached`` outcomes at zero flash cost.  The cache engages
-        only on the packed plane (see :class:`ResultCache`).
+        ``cached`` outcomes at zero flash cost.  The cache stays off
+        under error injection (see :class:`ResultCache`).
 
         The drain is then dedup-first: with ``share`` on, a task whose
         ``(chip, plan)`` identity matches an earlier task of the same
@@ -1057,9 +1057,9 @@ class QueryEngine:
 
         With ``batch`` on (the default) each chip's queue runs through
         :meth:`~repro.core.mws.MwsExecutor.execute_batch` -- one
-        vectorized dispatch per chip instead of one per sense.  Off
-        the packed error-free plane the queue batches through the
-        V_TH error plane with the scalar loop's exact stochastic draw
+        vectorized dispatch per chip instead of one per sense.  On an
+        error-injecting SSD the queue batches through the V_TH
+        compare with the scalar loop's exact stochastic draw
         schedule, falling back to per-sense execution only for queues
         with no batched equivalent (MLC targets, cross-plane XOR).
         ``batch=False`` forces the per-sense loop
@@ -1078,7 +1078,8 @@ class QueryEngine:
         (batched through
         :meth:`~repro.core.mws.MwsExecutor.execute_degraded_batch`
         when ``batch`` is on and the queue has a batched equivalent --
-        the margin path draws nothing, so batching it is exact), and
+        the margin path draws no fault decisions, and its V_TH draws
+        keep the per-plan loop's schedule, so batching it is exact), and
         chips listed in ``offline`` (quarantined) fail fast -- their
         tasks come back as error outcomes carrying
         :class:`~repro.flash.errors.ChipUnavailableError` without
@@ -1098,15 +1099,18 @@ class QueryEngine:
         with parity off) it is a no-op -- the fault-free window stays
         float-identical.
         """
-        packed = self.ssd.packed
-        cache = self.result_cache if use_cache and packed else None
+        # Error injection turns off both cross-window memos: a cached
+        # result or sense row would replay one stochastic draw instead
+        # of drawing fresh errors.
+        error_free = not self.ssd.inject_errors
+        cache = self.result_cache if use_cache and error_free else None
         if cache is not None:
             cache.begin_epoch()
-        # Stack reuse engages only where its oracle applies: packed
-        # plane, batched drain, no fault recovery (the recover branch
-        # runs scalar / degraded paths that never restack anyway).
+        # Stack reuse also needs the batched drain; the recover branch
+        # runs scalar / degraded paths that never restack anyway.
         stacks = (
-            self.stack_cache if packed and batch and self.stack_reuse
+            self.stack_cache
+            if error_free and batch and self.stack_reuse
             else None
         )
         injector = getattr(self.ssd, "fault_injector", None)
@@ -1188,10 +1192,10 @@ class QueryEngine:
             if recover:
                 # Fault recovery needs per-plan draws and retries, so
                 # the queue runs scalar through the policy -- except
-                # the health-degraded margin-read path, which draws
-                # nothing and batches through the V_TH plane when
-                # possible (None falls back to the scalar loop: bad
-                # blocks, MLC, cross-plane XOR, unpacked chips).
+                # the health-degraded margin-read path, which draws no
+                # fault decisions and batches through the V_TH compare
+                # when possible (None falls back to the scalar loop:
+                # bad blocks, MLC, cross-plane XOR).
                 policy = (
                     recovery if recovery is not None else RecoveryPolicy()
                 )
@@ -1204,7 +1208,7 @@ class QueryEngine:
                 if batched is not None:
                     for position, result in zip(unique, batched):
                         task = order[position]
-                        data = result.words if packed else result.bits
+                        data = result.words
                         outcomes[position] = outcome(
                             task, data, result.n_senses,
                             result.latency_us, result.energy_nj,
@@ -1245,7 +1249,7 @@ class QueryEngine:
                         results = [executor.execute(plan) for plan in queue]
                 for position, result in zip(unique, results):
                     task = order[position]
-                    data = result.words if packed else result.bits
+                    data = result.words
                     outcomes[position] = outcome(
                         task, data, result.n_senses,
                         result.latency_us, result.energy_nj, False,
@@ -1254,7 +1258,7 @@ class QueryEngine:
                         cache.put(chip, task.plan, data, result.n_senses)
             # The executor reports its own dispatch count, so the stat
             # stays truthful when execute_batch falls back to the
-            # per-sense loop (unpacked plane, error injection).
+            # per-sense loop (MLC targets, cross-plane XOR).
             self._executor_dispatches += (
                 executor.dispatches - dispatched_before
             )
@@ -1303,7 +1307,7 @@ class QueryEngine:
             for name in sorted(operand_names(task.expr))
         }
         bits = evaluate(task.expr, env)
-        data = pack_bits(bits) if ssd.packed else bits
+        data = pack_bits(bits)
         n_senses = 0
         energy_nj = 0.0
         work: list[tuple[int, float]] = []
@@ -1385,8 +1389,8 @@ class QueryEngine:
     def assemble_bits(
         self, prepared: PreparedQuery, pieces: list[np.ndarray | None]
     ) -> np.ndarray:
-        """Concatenate per-chunk result pages (packed words or bytes)
-        into the query's result bit vector, truncated to its true
+        """Concatenate per-chunk result pages (packed words) into the
+        query's result bit vector, truncated to its true
         length -- the single unpack at the result boundary.  Only
         ``prepared.n_bits`` is read, so any record carrying the
         query's length will do (the service passes its per-query
@@ -1394,12 +1398,7 @@ class QueryEngine:
         present = [p for p in pieces if p is not None]
         if not present:
             return np.empty(0, np.uint8)
-        if self.ssd.packed:
-            bits = unpack_rows(
-                np.vstack(present), self.ssd.page_bits
-            ).ravel()
-        else:
-            bits = np.concatenate(present)
+        bits = unpack_rows(np.vstack(present), self.ssd.page_bits).ravel()
         return bits[: prepared.n_bits]
 
     def _execute(

@@ -8,6 +8,8 @@ from hypothesis.extra import numpy as npst
 
 from repro.flash.latches import LatchBank, LatchStateError
 
+from oracles.latch_model import BitLatchModel
+
 
 def bits(*values):
     return np.array(values, dtype=np.uint8)
@@ -156,8 +158,8 @@ class TestXor:
 
 
 class TestPackedWords:
-    """The packed uint64 word path: word-array capture, packed
-    readout, and parity with the unpacked (legacy) bank."""
+    """The uint64 word latches: word-array capture, packed readout,
+    and parity with the one-byte-per-bit latch model."""
 
     def test_capture_words_roundtrip(self):
         from repro.flash.packing import pack_bits
@@ -186,23 +188,39 @@ class TestPackedWords:
         bank.capture(bits(1, 0, 1, 0), inverse=True)
         np.testing.assert_array_equal(bank.sense_data, bits(0, 1, 0, 1))
 
-    @given(pages=st.lists(page_strategy(), min_size=1, max_size=6))
-    def test_packed_and_unpacked_banks_agree(self, pages):
-        """Drive a packed and a legacy bank through the same ParaBit
-        AND/OR + XOR protocol and require identical latch contents."""
-        packed = LatchBank(4, packed=True)
-        legacy = LatchBank(4, packed=False)
-        for bank in (packed, legacy):
-            bank.init_cache()
-            for i, page in enumerate(pages):
-                bank.init_sense()
-                bank.capture(page)
-                bank.transfer_to_cache()
-        np.testing.assert_array_equal(packed.cache_data, legacy.cache_data)
-        for bank in (packed, legacy):
-            bank.xor_into_cache()
-        np.testing.assert_array_equal(packed.cache_data, legacy.cache_data)
-        np.testing.assert_array_equal(packed.cache_words, legacy.cache_words)
+    @given(
+        pages=st.lists(page_strategy(), min_size=1, max_size=6),
+        inverse=st.lists(st.booleans(), min_size=6, max_size=6),
+        loaded=page_strategy(),
+    )
+    def test_bank_matches_bit_model(self, pages, inverse, loaded):
+        """Drive the word bank and the byte-per-bit model through the
+        same load / ParaBit AND/OR / inverse sense / XOR protocol and
+        require identical latch contents (padding excluded)."""
+        from repro.flash.packing import pack_bits
+
+        bank = LatchBank(4)
+        model = BitLatchModel(4)
+        bank.load_cache(loaded)
+        model.load_cache(loaded)
+        for page, inv in zip(pages, inverse):
+            for latches in (bank, model):
+                latches.init_sense()
+                latches.capture(page, inverse=inv)
+                latches.transfer_to_cache()
+            np.testing.assert_array_equal(
+                bank.sense_words, pack_bits(model.sense)
+            )
+        for latches in (bank, model):
+            latches.init_sense()
+            latches.capture(pages[0])
+            latches.capture(pages[-1])
+        np.testing.assert_array_equal(bank.sense_data, model.sense)
+        np.testing.assert_array_equal(bank.cache_data, model.cache)
+        for latches in (bank, model):
+            latches.xor_into_cache()
+        np.testing.assert_array_equal(bank.cache_data, model.cache)
+        np.testing.assert_array_equal(bank.cache_words, pack_bits(model.cache))
 
     def test_load_cache_accepts_words(self):
         from repro.flash.packing import pack_bits
@@ -210,11 +228,3 @@ class TestPackedWords:
         bank = LatchBank(4)
         bank.load_cache(pack_bits(bits(0, 1, 1, 0)))
         np.testing.assert_array_equal(bank.cache_data, bits(0, 1, 1, 0))
-
-    def test_legacy_bank_accepts_words(self):
-        from repro.flash.packing import pack_bits
-
-        bank = LatchBank(4, packed=False)
-        bank.init_sense()
-        bank.capture(pack_bits(bits(1, 1, 0, 0)))
-        np.testing.assert_array_equal(bank.sense_data, bits(1, 1, 0, 0))

@@ -28,10 +28,8 @@ GEOMETRY = ChipGeometry(
 )
 
 
-def make_ssd(n_chips=2, n_chunks=4, names="abcd", seed=0, packed=True):
-    ssd = SmallSsd(
-        n_chips=n_chips, geometry=GEOMETRY, seed=seed, packed=packed
-    )
+def make_ssd(n_chips=2, n_chunks=4, names="abcd", seed=0, **kwargs):
+    ssd = SmallSsd(n_chips=n_chips, geometry=GEOMETRY, seed=seed, **kwargs)
     rng = np.random.default_rng(seed + 100)
     env = {}
     for name in names:
@@ -251,16 +249,20 @@ class TestResultCacheUnit:
         with pytest.raises(ValueError):
             ResultCache(ssd, capacity=0)
 
-    def test_unpacked_plane_never_caches(self):
-        """``packed=False`` is the equivalence oracle; it must keep
-        executing even with the cache nominally enabled."""
-        ssd, env = make_ssd(packed=False)
+    def test_error_injecting_ssd_never_caches(self):
+        """Error-injecting chips draw fresh V_TH noise on every sense,
+        so a repeat window must sense again even with the cache (and
+        stack reuse) nominally enabled: a memo would replay one draw."""
+        ssd, env = make_ssd(inject_errors=True)
         service = ssd.service(window_us=50.0, result_cache=True)
         expr = And(Operand("a"), Operand("b"))
         run_window(service, [expr])
         second = run_window(service, [expr])
         assert second.stats.n_senses > 0
         assert second.stats.cached_plans == 0
+        assert ssd.engine.result_cache.stats.hits == 0
+        assert len(ssd.engine.result_cache) == 0
+        assert ssd.engine.stats.stack_reuse_hits == 0
 
     def test_clear_empties_cache(self):
         ssd, _ = make_ssd()

@@ -7,7 +7,8 @@ senses plus lane-parallel latch replay.  These properties pin the
 batch plane to the reference semantics over arbitrary plan mixes
 (AND groups, inverse-stored ORs, inter-block ORs, OR-of-AND,
 AND-of-inverse-OR, XOR commands, ``Not``-wrapped inverse senses),
-random chip counts, chunk counts, share on/off, and both data planes:
+random chip counts, chunk counts, share on/off, and both sense paths
+(the word reduce and the per-cell V_TH compare):
 
 * outcome data, shared flags, and sense counts must match the scalar
   loop exactly;
@@ -20,9 +21,11 @@ random chip counts, chunk counts, share on/off, and both data planes:
 
 The 80-bit page geometry keeps padding words in play (pages that are
 not a multiple of 64 bits are the packed representation's trickiest
-configuration); ``packed=False`` runs exercise the batched V_TH plane
-(``MwsExecutor._execute_batch_vth``), which must stay bit- and
-float-identical to the per-sense loop too.
+configuration); ``word=False`` runs drain the same windows through the
+V_TH compare (:func:`oracles.vth.vth_execute_tasks`: the batched
+``MwsExecutor.execute_degraded_batch`` against the per-sense
+``execute_degraded`` loop), which must stay bit- and float-identical
+too.
 """
 
 import numpy as np
@@ -41,6 +44,9 @@ from repro.flash.geometry import ChipGeometry
 from repro.flash.latches import LatchStateError
 from repro.ssd.controller import SmallSsd
 
+from oracles.latch_model import BitLatchModel
+from oracles.vth import vth_execute_tasks
+
 #: 80-bit pages: every packed page carries padding bits.
 GEOMETRY = ChipGeometry(
     planes_per_die=1,
@@ -51,12 +57,12 @@ GEOMETRY = ChipGeometry(
 )
 
 
-def _build_one(rng_seed, *, n_chips, n_bits, ssd_seed, packed):
+def _build_one(rng_seed, *, n_chips, n_bits, ssd_seed, **kwargs):
     """One SSD + operand environment, reproducible from the seeds so
     twin SSDs hold identical data."""
     rng = np.random.default_rng(rng_seed)
     ssd = SmallSsd(
-        n_chips=n_chips, geometry=GEOMETRY, seed=ssd_seed, packed=packed
+        n_chips=n_chips, geometry=GEOMETRY, seed=ssd_seed, **kwargs
     )
     env = {}
     for i in range(3):
@@ -129,16 +135,15 @@ def _assemble(ssd, prepared, outcomes, query):
     return ssd.engine.assemble_bits(prepared[query], pieces)
 
 
-@pytest.mark.parametrize("packed", [True, False])
+@pytest.mark.parametrize("word", [True, False])
 @pytest.mark.parametrize("seed", range(14))
-def test_batch_window_matches_scalar_loop_and_oracle(seed, packed):
+def test_batch_window_matches_scalar_loop_and_oracle(seed, word):
     s = _scenario(seed)
     build = lambda: _build_one(  # noqa: E731 - twin factory
         s["data_seed"],
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
         ssd_seed=s["ssd_seed"],
-        packed=packed,
     )
     batch_ssd, env = build()
     loop_ssd, _ = build()
@@ -147,12 +152,13 @@ def test_batch_window_matches_scalar_loop_and_oracle(seed, packed):
     batch_tasks, prepared = _prepare_window(batch_ssd, s["window"])
     loop_tasks, _ = _prepare_window(loop_ssd, s["window"])
 
-    batch_out = batch_ssd.engine.execute_tasks(
-        batch_tasks, share=s["share"], batch=True
+    drain = (
+        (lambda ssd, tasks, **kw: ssd.engine.execute_tasks(tasks, **kw))
+        if word
+        else vth_execute_tasks
     )
-    loop_out = loop_ssd.engine.execute_tasks(
-        loop_tasks, share=s["share"], batch=False
-    )
+    batch_out = drain(batch_ssd, batch_tasks, share=s["share"], batch=True)
+    loop_out = drain(loop_ssd, loop_tasks, share=s["share"], batch=False)
 
     assert len(batch_out) == len(loop_out) == len(batch_tasks)
     for b, l in zip(batch_out, loop_out):
@@ -209,7 +215,6 @@ def test_batch_dispatches_collapse_to_chip_count(seed):
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
         ssd_seed=s["ssd_seed"],
-        packed=True,
     )
     tasks, _ = _prepare_window(ssd, s["window"])
     chips_touched = len({t.chip for t in tasks})
@@ -227,7 +232,6 @@ def test_shared_subscribers_reference_executed_data():
         n_chips=2,
         n_bits=2 * GEOMETRY.page_size_bits,
         ssd_seed=1,
-        packed=True,
     )
     expr = And(Operand("a0"), Operand("a1"))
     tasks, _ = _prepare_window(ssd, [expr, expr, expr])
@@ -250,11 +254,15 @@ def test_shared_subscribers_reference_executed_data():
 
 
 def test_sense_batch_refuses_vth_plane():
-    ssd, _ = _build_one(1, n_chips=1, n_bits=80, ssd_seed=1, packed=False)
+    """The word reduce is only exact for error-free senses, so an
+    error-injecting chip must refuse it rather than skip its draws."""
+    ssd, _ = _build_one(
+        1, n_chips=1, n_bits=80, ssd_seed=1, inject_errors=True
+    )
     chip = ssd.chips[0]
-    with pytest.raises(RuntimeError, match="packed error-free"):
+    with pytest.raises(RuntimeError, match="error-free"):
         chip.execute_sense_batch([])
-    with pytest.raises(RuntimeError, match="packed error-free"):
+    with pytest.raises(RuntimeError, match="error-free"):
         chip.sensing.sense_batch_stacks([], [])
 
 
@@ -266,12 +274,8 @@ def test_sense_batch_rows_match_per_sense_outcomes(seed):
     accounting."""
     rng = np.random.default_rng(40_000 + seed)
     data_seed = int(rng.integers(1 << 16))
-    batch_ssd, _ = _build_one(
-        data_seed, n_chips=1, n_bits=80, ssd_seed=3, packed=True
-    )
-    scalar_ssd, _ = _build_one(
-        data_seed, n_chips=1, n_bits=80, ssd_seed=3, packed=True
-    )
+    batch_ssd, _ = _build_one(data_seed, n_chips=1, n_bits=80, ssd_seed=3)
+    scalar_ssd, _ = _build_one(data_seed, n_chips=1, n_bits=80, ssd_seed=3)
 
     def targets_for(ssd):
         controller = ssd.controllers[0]
@@ -310,12 +314,13 @@ def test_sense_batch_rows_match_per_sense_outcomes(seed):
         )
 
 
-def test_capture_batch_unpacked_matches_scalar_protocol():
-    """The unpacked bank replays the batched latch protocol over 0/1
-    byte matrices with the scalar bank's exact semantics (the batched
-    V_TH error plane's representation)."""
+def test_capture_batch_matches_bit_model():
+    """The batched latch replay over word matrices ends every lane
+    where the one-byte-per-bit latch model does, and lands the chosen
+    lane's S/C state in the bank."""
     from repro.flash.chip import IscmFlags
     from repro.flash.latches import LatchBank
+    from repro.flash.packing import pack_bits, pack_rows, unpack_words
 
     rng = np.random.default_rng(11)
     steps = [
@@ -324,40 +329,29 @@ def test_capture_batch_unpacked_matches_scalar_protocol():
         IscmFlags(init_sense=True, inverse=True, transfer=False),
         None,  # latch XOR command
     ]
-    matrices = [
+    pages = [
         rng.integers(0, 2, (3, 80), dtype=np.uint8) for _ in range(3)
     ]
-    batch_bank = LatchBank(80, packed=False)
-    out = batch_bank.capture_batch(steps, matrices, land_lane=2)
+    batch_bank = LatchBank(80)
+    out = batch_bank.capture_batch(
+        steps, [pack_rows(m) for m in pages], land_lane=2
+    )
     for lane in range(3):
-        bank = LatchBank(80, packed=False)
-        sensed = iter(m[lane] for m in matrices)
-        for step in steps:
-            if step is None:
-                bank.xor_into_cache()
-                continue
-            if step.init_cache:
-                bank.init_cache()
-            if step.init_sense:
-                bank.init_sense()
-            bank.capture(next(sensed), inverse=step.inverse)
-            if step.transfer:
-                bank.transfer_to_cache()
-        np.testing.assert_array_equal(out[lane], bank.cache_data)
+        model = BitLatchModel(80).run(steps, [m[lane] for m in pages])
+        np.testing.assert_array_equal(out[lane], pack_bits(model.cache))
+        np.testing.assert_array_equal(
+            unpack_words(out[lane], 80), model.cache
+        )
         if lane == 2:
-            np.testing.assert_array_equal(
-                batch_bank.cache_data, bank.cache_data
-            )
-            np.testing.assert_array_equal(
-                batch_bank.sense_data, bank.sense_data
-            )
+            np.testing.assert_array_equal(batch_bank.cache_data, model.cache)
+            np.testing.assert_array_equal(batch_bank.sense_data, model.sense)
 
 
 def test_capture_batch_protocol_errors_match_scalar():
     from repro.flash.chip import IscmFlags
     from repro.flash.latches import LatchBank
 
-    bank = LatchBank(80, packed=True)
+    bank = LatchBank(80)
     rows = np.zeros((2, 2), dtype=np.uint64)
     # Inverse capture without S-latch init: rejected like the scalar
     # protocol.

@@ -177,3 +177,21 @@ class TestStressedSsd:
         expr = And(*(Operand(n) for n in env))
         result = ssd.query(expr)
         np.testing.assert_array_equal(result.bits, evaluate(expr, env))
+
+    def test_error_injecting_ssd_latches_words(self):
+        """Error-injecting chips run the word pipeline like every other
+        chip: results come back as packed words, and the byte-per-bit
+        ``packed`` switch is no longer a constructor option."""
+        ssd = SmallSsd(n_chips=2, inject_errors=True, seed=3)
+        env = vectors("pq", ssd.page_bits * 2, seed=4)
+        for name in env:
+            ssd.write_vector(name, env[name], group="g")
+        expr = And(Operand("p"), Operand("q"))
+        tasks = ssd.engine.prepare(expr).tasks(query=0)
+        for outcome in ssd.engine.execute_tasks(tasks):
+            assert outcome.data.dtype == np.uint64
+        np.testing.assert_array_equal(
+            ssd.query(expr).bits, evaluate(expr, env)
+        )
+        with pytest.raises(TypeError):
+            SmallSsd(n_chips=2, packed=False)

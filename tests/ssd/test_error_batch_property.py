@@ -1,8 +1,8 @@
 """Randomized equivalence: the batched V_TH error plane vs the scalar
 per-sense loop.
 
-``MwsExecutor.execute_batch`` now batches error-injecting queues
-through ``NandFlashChip.execute_sense_batch_vth``: the whole window's
+``MwsExecutor.execute_batch`` batches error-injecting queues through
+``NandFlashChip.execute_sense_batch_vth``: the whole window's
 V_TH perturbation and VREF compare run grouped per stress condition,
 with one Gaussian block drawn for the window and split in the exact
 (sense, block-target) order the scalar loop draws in.  The contract
@@ -39,7 +39,7 @@ from repro.ssd.controller import SmallSsd
 #: each case also ran, so a case's history stays under one name.
 SEQUENTIAL_IDS = "{}-1".format
 
-#: 80-bit pages: padding stays in play on the packed (degraded) plane.
+#: 80-bit pages: padding stays in play in every packed result row.
 GEOMETRY = ChipGeometry(
     planes_per_die=1,
     blocks_per_plane=16,
@@ -257,7 +257,7 @@ def test_degraded_chips_ride_the_batch_plane(seed):
     counters (including the extra-sense ladder), and dispatch collapse
     all match the per-plan degraded loop."""
     s = _scenario(seed)
-    build = lambda: SmallSsd(  # noqa: E731 - packed twins
+    build = lambda: SmallSsd(  # noqa: E731 - error-free twins
         n_chips=2, geometry=GEOMETRY, seed=s["ssd_seed"]
     )
     batch_ssd, loop_ssd = build(), build()
@@ -411,20 +411,16 @@ def test_sense_batch_vth_mixed_conditions_match_scalar(seed):
         )
 
     scalar_blocks = _make_blocks(6, seed)
-    scalar_engine = SensingEngine(
-        ErrorModel(), rng=np.random.default_rng(17), packed=False
-    )
+    scalar_engine = SensingEngine(ErrorModel(), rng=np.random.default_rng(17))
     scalar_rows = [
         scalar_engine.inter_block_mws(
             [(scalar_blocks[b], wls) for b, wls in targets], condition
-        ).bits
+        ).words
         for targets, condition in window
     ]
 
     batch_blocks = _make_blocks(6, seed)
-    batch_engine = SensingEngine(
-        ErrorModel(), rng=np.random.default_rng(17), packed=False
-    )
+    batch_engine = SensingEngine(ErrorModel(), rng=np.random.default_rng(17))
     out = batch_engine.sense_batch_vth(
         [
             [(batch_blocks[b], wls) for b, wls in targets]
@@ -456,9 +452,7 @@ def test_sense_batch_vth_mlc_falls_back_without_side_effects():
         rng.integers(0, 2, GEOMETRY.page_size_bits, dtype=np.uint8),
         rng.integers(0, 2, GEOMETRY.page_size_bits, dtype=np.uint8),
     )
-    engine = SensingEngine(
-        ErrorModel(), rng=np.random.default_rng(17), packed=False
-    )
+    engine = SensingEngine(ErrorModel(), rng=np.random.default_rng(17))
     state = engine.rng.bit_generator.state
     reads = [b.reads_since_erase for b in (*blocks, mlc)]
     out = engine.sense_batch_vth(
@@ -471,6 +465,44 @@ def test_sense_batch_vth_mlc_falls_back_without_side_effects():
 
 
 def test_sense_batch_vth_refuses_packed_error_free_plane():
-    engine = SensingEngine(ErrorModel(), inject_errors=False, packed=True)
+    """An error-free engine at zero VREF offset senses by word reduce
+    (``sense_batch``); only ``force_vth`` or an offset route it
+    through the V_TH batch."""
+    engine = SensingEngine(ErrorModel(), inject_errors=False)
     with pytest.raises(RuntimeError, match="V_TH error plane"):
         engine.sense_batch_vth([], [])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_degraded_error_injecting_chips_keep_draw_schedule(seed):
+    """Degraded chips of an error-injecting SSD batch their margin-read
+    queues through the V_TH compare too: the batched drain must leave
+    the same corrupted words, counters and RNG state as the per-plan
+    degraded loop."""
+    s = _scenario(seed)
+    build = lambda: _build_one(  # noqa: E731 - twin factory
+        s["data_seed"],
+        n_chips=s["n_chips"],
+        n_bits=s["n_bits"],
+        ssd_seed=s["ssd_seed"],
+    )
+    batch_ssd, _ = build()
+    loop_ssd, _ = build()
+    chips = list(range(s["n_chips"]))
+    batch_out = batch_ssd.engine.execute_tasks(
+        _window_tasks(batch_ssd, s["window"]),
+        share=s["share"],
+        batch=True,
+        degraded=chips,
+    )
+    loop_out = loop_ssd.engine.execute_tasks(
+        _window_tasks(loop_ssd, s["window"]),
+        share=s["share"],
+        batch=False,
+        degraded=chips,
+    )
+    _assert_outcomes_identical(batch_out, loop_out)
+    _assert_chips_identical(batch_ssd, loop_ssd)
+    assert all(o.degraded for o in batch_out)
+    chips_touched = len({o.task.chip for o in batch_out})
+    assert batch_ssd.engine.stats.executor_dispatches == chips_touched

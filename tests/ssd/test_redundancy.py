@@ -78,10 +78,12 @@ def test_parity_page_is_wordwise_xor_of_group():
         np.testing.assert_array_equal(got, expected)
 
 
-def test_parity_requires_packed_plane_and_two_chips():
-    with pytest.raises(ValueError):
-        SmallSsd(n_chips=4, geometry=GEOMETRY, packed=False, parity=True)
-    with pytest.raises(ValueError):
+def test_parity_rejects_error_injection_and_one_chip():
+    with pytest.raises(ValueError, match="inject_errors"):
+        SmallSsd(
+            n_chips=4, geometry=GEOMETRY, inject_errors=True, parity=True
+        )
+    with pytest.raises(ValueError, match=">= 2 chips"):
         SmallSsd(n_chips=1, geometry=GEOMETRY, parity=True)
 
 

@@ -1,7 +1,7 @@
 """Randomized equivalence and invalidation properties of cross-window
 stack reuse (``StackCache`` + ``MwsExecutor.execute_batch_reuse``).
 
-The batched packed drain restacks every window's operand tensors from
+The batched word drain restacks every window's operand tensors from
 scratch even when the window repeats (or overlaps) the previous one.
 ``QueryEngine.stack_cache`` memoizes each unique plan's raw packed
 sense rows per chip so repeat plans replay them -- but reuse must be
@@ -53,10 +53,10 @@ GEOMETRY = ChipGeometry(
 )
 
 
-def _build_one(rng_seed, *, n_chips, n_bits, ssd_seed, packed=True):
+def _build_one(rng_seed, *, n_chips, n_bits, ssd_seed, **kwargs):
     rng = np.random.default_rng(rng_seed)
     ssd = SmallSsd(
-        n_chips=n_chips, geometry=GEOMETRY, seed=ssd_seed, packed=packed
+        n_chips=n_chips, geometry=GEOMETRY, seed=ssd_seed, **kwargs
     )
     env = {}
     for i in range(3):
@@ -359,14 +359,15 @@ def test_alternating_windows_keep_latch_landing_exact(seed):
 def test_vth_schedule_cache_survives_layout_churn(seed):
     """The V_TH plane memoizes only its draw-independent schedule;
     layout churn between error-plane windows must re-derive it, so
-    the batched drain stays draw-identical to the scalar loop."""
+    the batched drain of an error-injecting SSD stays draw-identical
+    to the scalar loop."""
     s = _scenario(seed)
     build = lambda: _build_one(  # noqa: E731
         s["data_seed"],
         n_chips=s["n_chips"],
         n_bits=s["n_bits"],
         ssd_seed=s["ssd_seed"],
-        packed=False,
+        inject_errors=True,
     )
     batch_ssd, _ = build()
     loop_ssd, _ = build()
@@ -429,7 +430,7 @@ def test_vth_schedule_memo_clears_on_full():
         n_chips=1,
         n_bits=GEOMETRY.page_size_bits,
         ssd_seed=13,
-        packed=False,
+        inject_errors=True,
     )
     chip = ssd.chips[0]
     window = [_expression_pool()[0]]
@@ -438,7 +439,7 @@ def test_vth_schedule_memo_clears_on_full():
     # Saturate the memo with synthetic keys; the next batched window
     # must clear it rather than grow past the bound.
     for i in range(4096 - len(chip._vth_schedules)):
-        chip._vth_schedules[-(i + 1)] = (None,) * 5
+        chip._vth_schedules[-(i + 1)] = (None,) * 3
     assert len(chip._vth_schedules) == 4096
     ssd.write_vector(
         "bump", np.ones(GEOMETRY.page_size_bits, dtype=np.uint8)

@@ -95,10 +95,10 @@ def _run_packed_backend() -> dict[str, float]:
     memory = measure_memory()
     return {
         "sense_packed_s": sense["packed_s"],
-        "sense_unpacked_s": sense["unpacked_s"],
+        "sense_vth_s": sense["vth_s"],
         "sense_speedup": sense["speedup"],
         "query_packed_s": query["packed_s"],
-        "query_unpacked_s": query["unpacked_s"],
+        "query_vth_s": query["vth_s"],
         "query_speedup": query["speedup"],
         "memory_ratio": memory["ratio"],
     }
